@@ -20,12 +20,11 @@ from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
                        default_circular_array, direction_unit_vector,
                        steering_matrix, steering_vector)
 from .signalmodel import (PointSource, Scene, SnapshotBlock,
-                          covariance_analytic, interference_root,
-                          sample_covariance, synthesize_snapshots,
-                          validate_covariance)
-from .beamforming import (BeamWeights, GridSpec, PowerMap, PsfMetrics,
-                          bartlett_power, doa_peaks, mvdr_power, mvdr_weights,
-                          power_map, psf, psf_metrics)
+                          covariance_analytic, sample_covariance,
+                          synthesize_snapshots)
+from .beamforming import (GridSpec, PowerMap, PsfMetrics, doa_peaks,
+                          grid_powers, mvdr_weights, power_map, psf,
+                          psf_metrics)
 from .waveform import (ChirpSpec, PcmTrace, RangeEstimate, estimate_range,
                        generate_chirp, matched_filter)
 from .acquisition import (MultichannelCapture, PdmStream, ReflectorTarget,
@@ -35,19 +34,17 @@ from .framing import (CorruptionEvent, Frame, StreamParser, StreamStats,
                       encode_frame, parse_stream, stream_throughput_bench)
 
 __all__ = [
-    "ArrayGeometry", "BeamWeights", "ChirpSpec", "ConfigError",
-    "CorruptionEvent", "Direction", "Frame", "GridSpec",
-    "MultichannelCapture", "NoPeakError", "PcmTrace", "PdmStream",
-    "PointSource", "PowerMap", "PsfMetrics", "RangeEstimate",
-    "ReflectorTarget", "SPEED_OF_SOUND_MPS", "Scene", "SingularMatrixError",
-    "SnapshotBlock", "SonarrayError", "SteeringVector", "StreamParser",
-    "StreamStats", "UnreliableEstimateError", "bartlett_power",
+    "ArrayGeometry", "ChirpSpec", "ConfigError", "CorruptionEvent",
+    "Direction", "Frame", "GridSpec", "MultichannelCapture", "NoPeakError",
+    "PcmTrace", "PdmStream", "PointSource", "PowerMap", "PsfMetrics",
+    "RangeEstimate", "ReflectorTarget", "SPEED_OF_SOUND_MPS", "Scene",
+    "SingularMatrixError", "SnapshotBlock", "SonarrayError", "SteeringVector",
+    "StreamParser", "StreamStats", "UnreliableEstimateError",
     "build_uniform_circular_array", "covariance_analytic",
     "default_circular_array", "demodulate_capture", "direction_unit_vector",
     "doa_peaks", "encode_frame", "estimate_range", "generate_chirp",
-    "interference_root", "matched_filter", "mvdr_power", "mvdr_weights",
-    "parse_stream", "pdm_decimate", "pdm_modulate", "power_map", "psf",
-    "psf_metrics", "sample_covariance", "steering_matrix", "steering_vector",
+    "grid_powers", "matched_filter", "mvdr_weights", "parse_stream",
+    "pdm_decimate", "pdm_modulate", "power_map", "psf", "psf_metrics",
+    "sample_covariance", "steering_matrix", "steering_vector",
     "stream_throughput_bench", "synthesize_capture", "synthesize_snapshots",
-    "validate_covariance",
 ]

@@ -1,27 +1,21 @@
 """Backend selection for the sigma-delta hot loop.
 
-The compiled Cython extension is preferred when present; otherwise the
-pure-Python fallback takes over transparently.  Set the environment
-variable ``SONARRAY_PURE_PYTHON=1`` before import to force the fallback
-(useful for benchmarking and for verifying backend equivalence).
+The compiled Cython extension is used when it imports; otherwise the
+pure-Python fallback takes over transparently.  Both stay reachable
+through :func:`available_backends` for benchmarking and for verifying
+backend equivalence.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import pure
 
-if os.environ.get("SONARRAY_PURE_PYTHON") == "1":
+try:
+    from . import _sdm as _impl  # type: ignore[no-redef]
+    BACKEND = "compiled"
+except ImportError:
     _impl = pure
     BACKEND = "pure"
-else:
-    try:
-        from . import _sdm as _impl  # type: ignore[no-redef]
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = pure
-        BACKEND = "pure"
 
 
 def sigma_delta_bits(x, dither, clip1, clip2, out) -> None:

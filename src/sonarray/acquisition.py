@@ -21,16 +21,15 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import scipy.signal
 
 from . import _kernels
 from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
-                       direction_unit_vector, geometry_fingerprint)
+                       direction_unit_vector)
 from .signalmodel import SnapshotBlock
-from .waveform import DEFAULT_SAMPLE_RATE_HZ, PcmTrace, load_pcm, save_pcm
+from .waveform import DEFAULT_SAMPLE_RATE_HZ, PcmTrace
 
 PDM_RATE_HZ = 4_450_000
 DECIMATION_FACTOR = 16
@@ -45,6 +44,11 @@ LEAKAGE_GAIN_DB = -20.0  # transmit bleed-through relative to the template peak
 SDM_CLIP1 = 4.0
 SDM_CLIP2 = 8.0
 SDM_DITHER_AMPLITUDE = 1e-3
+
+# Quadrature demodulation low-pass: passes the probe's +-4 kHz sweep
+# around the carrier.
+DEMOD_CUTOFF_HZ = 10_000.0
+DEMOD_NUMTAPS = 129
 
 assert PDM_RATE_HZ == DECIMATION_FACTOR * DEFAULT_SAMPLE_RATE_HZ
 assert CHANNEL_COUNT * PDM_RATE_HZ < USB_LINK_BUDGET_BPS
@@ -137,29 +141,27 @@ def echo_geometry(geometry: ArrayGeometry, target: ReflectorTarget,
 def synthesize_capture(geometry: ArrayGeometry, target: ReflectorTarget,
                        chirp: PcmTrace, noise_db: float,
                        c_mps: float = SPEED_OF_SOUND_MPS, rng_seed: int = 0, *,
-                       window_s: float = 0.1,
-                       emission_start_s: float = 0.0) -> MultichannelCapture:
+                       window_s: float = 0.1) -> MultichannelCapture:
     """One ping window as heard by every element.
 
-    The echo is placed at its exact fractional delay via a frequency-
-    domain phase ramp; transmit leakage is copied at the emission marker
-    with a fixed -20 dB gain; channel l draws its noise from seed
-    ``rng_seed + l``.  ``noise_db`` is the transmit-peak-to-noise-sigma
-    ratio in dB.
+    Emission starts at sample 0, the capture's emission marker.  The echo
+    is placed at its exact fractional delay via a frequency-domain phase
+    ramp; transmit leakage is copied at the emission marker with a fixed
+    -20 dB gain; channel l draws its noise from seed ``rng_seed + l``.
+    ``noise_db`` is the transmit-peak-to-noise-sigma ratio in dB.
     """
     fs = chirp.sample_rate_hz
     n = int(math.floor(window_s * fs))
-    marker = int(round(emission_start_s * fs))
-    if n < 1 or marker < 0 or marker >= n:
-        raise ValueError("window too short for the emission marker")
+    if n < 1:
+        raise ValueError("window shorter than one sample")
     delays, amplitudes = echo_geometry(geometry, target, c_mps)
-    if emission_start_s + delays.max() + chirp.duration_s > window_s:
+    if delays.max() + chirp.duration_s > window_s:
         raise ValueError(
             f"echo (delay {delays.max():.6f} s + sweep {chirp.duration_s:.6f} s) "
             f"falls outside the {window_s:.6f} s window")
 
     template = np.zeros(n)
-    template[marker:marker + len(chirp)] = chirp.samples
+    template[:len(chirp)] = chirp.samples
     spectrum = np.fft.rfft(template)
     freqs = np.fft.rfftfreq(n, d=1.0 / fs)
     peak = np.max(np.abs(chirp.samples)) if len(chirp) else 1.0
@@ -170,15 +172,14 @@ def synthesize_capture(geometry: ArrayGeometry, target: ReflectorTarget,
     for l, (tau, amp) in enumerate(zip(delays, amplitudes)):
         shifted = np.fft.irfft(spectrum * np.exp(-2j * np.pi * freqs * tau), n)
         x = amp * shifted
-        x[marker:marker + len(chirp)] += leak * chirp.samples
+        x[:len(chirp)] += leak * chirp.samples
         x += sigma * np.random.default_rng(rng_seed + l).standard_normal(n)
         traces.append(PcmTrace(samples=x, sample_rate_hz=fs))
-    return MultichannelCapture(channels=tuple(traces), emission_marker=marker)
+    return MultichannelCapture(channels=tuple(traces), emission_marker=0)
 
 
 def pdm_modulate(trace: PcmTrace, target_rate_hz: float = PDM_RATE_HZ,
-                 rng_seed: int = 0, *, channel: int = 0,
-                 dither_amplitude: float = SDM_DITHER_AMPLITUDE) -> PdmStream:
+                 rng_seed: int = 0, *, channel: int = 0) -> PdmStream:
     """Zero-order-hold upsample then 2nd-order sigma-delta to one bit.
 
     The mean ones-density over a window tracks (x + 1) / 2.  A small
@@ -196,11 +197,8 @@ def pdm_modulate(trace: PcmTrace, target_rate_hz: float = PDM_RATE_HZ,
         raise ValueError(
             f"target rate {target_rate_hz} is not an integer multiple of {trace.sample_rate_hz}")
     up = np.repeat(x, factor)
-    if dither_amplitude > 0:
-        dither = np.random.default_rng(rng_seed).uniform(
-            -dither_amplitude, dither_amplitude, up.size)
-    else:
-        dither = np.zeros(up.size)
+    dither = np.random.default_rng(rng_seed).uniform(
+        -SDM_DITHER_AMPLITUDE, SDM_DITHER_AMPLITUDE, up.size)
     bits = np.empty(up.size, dtype=np.uint8)
     _kernels.sigma_delta_bits(up, dither, SDM_CLIP1, SDM_CLIP2, bits)
     return PdmStream(data=np.packbits(bits).tobytes(), n_bits=bits.size,
@@ -274,7 +272,6 @@ def decimation_settling_samples(stream_rate_hz: float = PDM_RATE_HZ,
 
 
 def demodulate_capture(capture: MultichannelCapture, carrier_hz: float, *,
-                       cutoff_hz: float = 10_000.0, numtaps: int = 129,
                        gate: tuple | None = None) -> SnapshotBlock:
     """Quadrature demodulation to complex-envelope snapshots.
 
@@ -288,7 +285,7 @@ def demodulate_capture(capture: MultichannelCapture, carrier_hz: float, *,
     n = capture.n_samples
     t = np.arange(n) / fs
     osc = np.exp(-2j * np.pi * carrier_hz * t)
-    taps = scipy.signal.firwin(numtaps, cutoff_hz, fs=fs)
+    taps = scipy.signal.firwin(DEMOD_NUMTAPS, DEMOD_CUTOFF_HZ, fs=fs)
     rows = [2.0 * scipy.signal.fftconvolve(tr.samples * osc, taps, mode="same")
             for tr in capture.channels]
     z = np.vstack(rows)
@@ -324,32 +321,3 @@ def load_pdm(path) -> PdmStream:
         data = fh.read((n_bits + 7) // 8)
     return PdmStream(data=data, n_bits=n_bits, rate_hz=rate, channel=channel)
 
-
-def save_capture(capture: MultichannelCapture, directory,
-                 geometry: ArrayGeometry | None = None) -> None:
-    """Directory container: chNN.pcm per channel plus manifest.txt."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, tr in enumerate(capture.channels):
-        save_pcm(tr, directory / f"ch{i:02d}.pcm")
-    with open(directory / "manifest.txt", "w") as fh:
-        fh.write(f"channel_count = {len(capture.channels)}\n")
-        fh.write(f"sample_rate_hz = {capture.sample_rate_hz:.10g}\n")
-        fh.write(f"samples_per_channel = {capture.n_samples}\n")
-        fh.write(f"emission_marker = {capture.emission_marker}\n")
-        fingerprint = geometry_fingerprint(geometry) if geometry is not None else "-"
-        fh.write(f"geometry_sha256 = {fingerprint}\n")
-
-
-def load_capture(directory) -> MultichannelCapture:
-    directory = Path(directory)
-    manifest = {}
-    with open(directory / "manifest.txt") as fh:
-        for line in fh:
-            if "=" in line:
-                key, value = (part.strip() for part in line.split("=", 1))
-                manifest[key] = value
-    count = int(manifest["channel_count"])
-    channels = tuple(load_pcm(directory / f"ch{i:02d}.pcm") for i in range(count))
-    return MultichannelCapture(channels=channels,
-                               emission_marker=int(manifest["emission_marker"]))

@@ -25,17 +25,11 @@ import scipy.ndimage
 
 from .errors import NoPeakError, SingularMatrixError
 from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
-                       SteeringVector, steering_matrix)
+                       steering_matrix)
 from .signalmodel import PointSource, Scene, covariance_analytic
 
 BEAMFORMERS = ("bartlett", "mvdr")
 DB_FLOOR = -80.0  # export floor for dB maps
-
-
-@dataclass(frozen=True, eq=False)
-class BeamWeights:
-    entries: np.ndarray
-    look: Direction | None  # None when built from a bare vector
 
 
 @dataclass(frozen=True)
@@ -91,12 +85,12 @@ class PowerMap:
         object.__setattr__(self, "elevation_deg", el)
         object.__setattr__(self, "power", p)
 
-    def to_db(self, floor_db: float = DB_FLOOR) -> np.ndarray:
-        """Map relative to its peak, floored; peak maps to 0 dB."""
+    def to_db(self) -> np.ndarray:
+        """Map relative to its peak, floored at DB_FLOOR; peak maps to 0 dB."""
         peak = self.power.max()
         if peak <= 0:
-            return np.full_like(self.power, floor_db)
-        ratio = np.maximum(self.power / peak, 10.0 ** (floor_db / 10.0))
+            return np.full_like(self.power, DB_FLOOR)
+        ratio = np.maximum(self.power / peak, 10.0 ** (DB_FLOOR / 10.0))
         return 10.0 * np.log10(ratio)
 
 
@@ -106,17 +100,6 @@ class PsfMetrics:
     mainlobe_width_az_deg: float
     mainlobe_width_el_deg: float
     peak_sidelobe_db: float
-
-
-def _as_entries(d) -> np.ndarray:
-    return d.entries if isinstance(d, SteeringVector) else np.asarray(d, dtype=complex)
-
-
-def _check_dims(R: np.ndarray, d: np.ndarray) -> None:
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ValueError("covariance must be square")
-    if d.shape != (R.shape[0],):
-        raise ValueError(f"steering vector length {d.shape} does not match covariance {R.shape}")
 
 
 def _loaded(R: np.ndarray, loading: float) -> np.ndarray:
@@ -136,56 +119,35 @@ def _factorize(R_loaded: np.ndarray):
             "increase the diagonal loading fraction") from exc
 
 
-def bartlett_power(R: np.ndarray, d: SteeringVector) -> float:
-    """Conventional beamformer output w^H R w with w = d / L."""
-    dv = _as_entries(d)
-    _check_dims(np.asarray(R), dv)
-    L = dv.size
-    value = np.vdot(dv, np.asarray(R) @ dv).real / (L * L)
-    return max(float(value), 0.0)
-
-
-def mvdr_weights(R: np.ndarray, d: SteeringVector, loading: float = 0.0) -> BeamWeights:
-    """Minimum-variance weights with unit gain toward the look direction."""
-    dv = _as_entries(d)
-    R = np.asarray(R, dtype=complex)
-    _check_dims(R, dv)
+def _mvdr_solve(R: np.ndarray, D: np.ndarray, loading: float) -> tuple:
+    """X = R_loaded^-1 D and the per-column d^H R_loaded^-1 d, checked > 0."""
     cho = _factorize(_loaded(R, loading))
-    x = scipy.linalg.cho_solve(cho, dv)
-    delta = np.vdot(dv, x)
-    if not np.isfinite(delta) or delta.real <= 0:
+    X = scipy.linalg.cho_solve(cho, D, check_finite=False)
+    denom = np.einsum("lm,lm->m", D.conj(), X).real
+    if not np.all(np.isfinite(denom)) or denom.min() <= 0:
         raise SingularMatrixError("d^H R^-1 d is not positive; increase loading")
-    look = d.direction if isinstance(d, SteeringVector) else None
-    return BeamWeights(entries=x / delta, look=look)
+    return X, denom
 
 
-def mvdr_power(R: np.ndarray, d: SteeringVector, loading: float = 0.0) -> float:
-    """MVDR output power 1 / (d^H R^-1 d) at the look direction."""
-    dv = _as_entries(d)
-    R = np.asarray(R, dtype=complex)
-    _check_dims(R, dv)
-    cho = _factorize(_loaded(R, loading))
-    x = scipy.linalg.cho_solve(cho, dv)
-    denom = np.vdot(dv, x).real
-    if not np.isfinite(denom) or denom <= 0:
-        raise SingularMatrixError("d^H R^-1 d is not positive; increase loading")
-    return 1.0 / denom
+def mvdr_weights(R: np.ndarray, d: np.ndarray, loading: float = 0.0) -> np.ndarray:
+    """Minimum-variance weights with unit gain toward the steering vector d."""
+    X, denom = _mvdr_solve(np.asarray(R, dtype=complex), np.asarray(d)[:, None], loading)
+    return X[:, 0] / denom[0]
 
 
 def grid_powers(R: np.ndarray, D: np.ndarray, beamformer: str = "bartlett",
                 loading: float = 0.0) -> np.ndarray:
     """Per-column beamformer power for a steering matrix D of shape (L, M)."""
     R = np.asarray(R, dtype=complex)
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+        raise ValueError("covariance must be square")
+    if D.ndim != 2 or D.shape[0] != R.shape[0]:
+        raise ValueError(f"steering matrix {D.shape} does not match covariance {R.shape}")
     if beamformer == "bartlett":
         L = D.shape[0]
         vals = np.einsum("lm,lm->m", D.conj(), R @ D).real / (L * L)
     elif beamformer == "mvdr":
-        cho = _factorize(_loaded(R, loading))
-        X = scipy.linalg.cho_solve(cho, D, check_finite=False)
-        denom = np.einsum("lm,lm->m", D.conj(), X).real
-        if not np.all(np.isfinite(denom)) or denom.min() <= 0:
-            raise SingularMatrixError("d^H R^-1 d is not positive on the grid; increase loading")
-        vals = 1.0 / denom
+        vals = 1.0 / _mvdr_solve(R, D, loading)[1]
     else:
         raise ValueError(f"unknown beamformer {beamformer!r}")
     return np.maximum(vals, 0.0)

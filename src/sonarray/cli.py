@@ -19,7 +19,7 @@ from . import __version__, acquisition, beamforming, framing, waveform
 from ._kernels import BACKEND, available_backends
 from .errors import ConfigError, SonarrayError
 from .geometry import (Direction, build_uniform_circular_array,
-                       default_circular_array, load_geometry_csv)
+                       load_geometry_csv)
 from .signalmodel import covariance_analytic, load_scene_file
 from .waveform import ChirpSpec, generate_chirp
 
@@ -27,7 +27,6 @@ DEFAULTS = {
     "c_mps": "343",
     "frequency_hz": "40000",
     "seed": "0",
-    "geometry.preset": "circular16",
     "geometry.csv": "",
     "geometry.elements": "16",
     "geometry.diameter_m": "0.030",
@@ -114,14 +113,9 @@ class Config:
                 return load_geometry_csv(csv_path)
             except (OSError, ValueError) as exc:
                 raise ConfigError("geometry.csv", str(exc)) from None
-        preset = self.get("geometry.preset")
-        if preset == "circular16":
-            return default_circular_array()
-        if preset == "circular":
-            return build_uniform_circular_array(
-                self.get_int("geometry.elements", minimum=1),
-                self.get_float("geometry.diameter_m", positive=True))
-        raise ConfigError("geometry.preset", f"unknown preset {preset!r}")
+        return build_uniform_circular_array(
+            self.get_int("geometry.elements", minimum=1),
+            self.get_float("geometry.diameter_m", positive=True))
 
     def grid(self) -> beamforming.GridSpec:
         try:

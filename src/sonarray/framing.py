@@ -37,6 +37,11 @@ MAX_PAYLOAD = 1 << 20
 _SEQ_MOD = 1 << 32
 _SEQ_WINDOW = 1 << 31
 
+# stream_throughput_bench feeds stock 16-channel frames in the chunk size
+# that decode reads.
+_BENCH_CHANNELS = 16
+_BENCH_CHUNK_BYTES = 65536
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -210,24 +215,23 @@ class ThroughputResult:
     elapsed_s: float
 
 
-def stream_throughput_bench(frame_payload_bytes: int = 8192, duration_s: float = 2.0,
-                            *, channel_count: int = 16,
-                            chunk_bytes: int = 65536) -> ThroughputResult:
+def stream_throughput_bench(frame_payload_bytes: int = 8192,
+                            duration_s: float = 2.0) -> ThroughputResult:
     """Sustained parse rate on a synthetic clean stream.
 
     Builds a batch of valid frames and feeds it to a fresh parser in
     fixed-size chunks, cycling until ``duration_s`` has elapsed.
     """
     rng = np.random.default_rng(12345)
-    samples_per_channel = max(8 * frame_payload_bytes // channel_count, 8)
+    samples_per_channel = max(8 * frame_payload_bytes // _BENCH_CHANNELS, 8)
     batch = bytearray()
     seq = 0
-    while len(batch) < max(chunk_bytes * 4, 4 << 20):
-        payload = rng.integers(0, 256, channel_count * samples_per_channel // 8,
+    while len(batch) < max(_BENCH_CHUNK_BYTES * 4, 4 << 20):
+        payload = rng.integers(0, 256, _BENCH_CHANNELS * samples_per_channel // 8,
                                dtype=np.uint8).tobytes()
         batch += encode_frame(Frame(sequence=seq, timestamp_ticks=seq * 1000,
                                     samples_per_channel=samples_per_channel,
-                                    payload=payload, channel_count=channel_count))
+                                    payload=payload, channel_count=_BENCH_CHANNELS))
         seq += 1
     batch = bytes(batch)
     parser = StreamParser()
@@ -235,8 +239,8 @@ def stream_throughput_bench(frame_payload_bytes: int = 8192, duration_s: float =
     start = time.perf_counter()
     elapsed = 0.0
     while elapsed < duration_s:
-        for off in range(0, len(batch), chunk_bytes):
-            parser.feed(batch[off:off + chunk_bytes])
+        for off in range(0, len(batch), _BENCH_CHUNK_BYTES):
+            parser.feed(batch[off:off + _BENCH_CHUNK_BYTES])
         fed += len(batch)
         elapsed = time.perf_counter() - start
     rate = fed / elapsed if elapsed > 0 else float("inf")

@@ -107,7 +107,7 @@ def build_uniform_circular_array(n_elements: int, diameter_m: float) -> ArrayGeo
 
 
 def default_circular_array() -> ArrayGeometry:
-    """The stock 16-element, 30 mm aperture used by the CLI presets."""
+    """The stock 16-element, 30 mm aperture (the CLI's default geometry)."""
     return build_uniform_circular_array(DEFAULT_ELEMENT_COUNT, DEFAULT_DIAMETER_M)
 
 
@@ -153,17 +153,8 @@ def steering_vector(geometry: ArrayGeometry, direction: Direction,
                           direction=direction)
 
 
-def save_geometry_csv(geometry: ArrayGeometry, path) -> None:
-    """Write one row per element with columns x_m, y_m, z_m, index."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_m", "y_m", "z_m", "index"])
-        for i, p in enumerate(geometry.elements):
-            writer.writerow([f"{p[0]:.17g}", f"{p[1]:.17g}", f"{p[2]:.17g}", i])
-
-
 def load_geometry_csv(path) -> ArrayGeometry:
-    """Read a geometry CSV written by :func:`save_geometry_csv`.
+    """Read a geometry CSV: header ``x_m,y_m,z_m,index``, one row per element.
 
     The header row is required; rows are sorted by their index column.
     The reference point is the origin.

@@ -13,7 +13,6 @@ expectation.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,8 @@ from .errors import ConfigError
 from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
                        steering_matrix)
 
-SNAPSHOT_MAGIC = b"SNAP"
-_SNAP_HEADER = struct.Struct("<4sHHIQd")  # magic, version, reserved, L, N, rate
-_SNAP_PAD = 32 - _SNAP_HEADER.size
+_SCENE_KEYS = ("noise_power", "frequency_hz", "c_mps")
+_SOURCE_KEYS = ("azimuth_deg", "elevation_deg", "power")
 
 
 @dataclass(frozen=True)
@@ -74,21 +72,6 @@ class SnapshotBlock:
         return self.samples.shape[1]
 
 
-def validate_covariance(R: np.ndarray, *, hermitian_tol: float = 1e-12,
-                        psd_tol: float = 1e-9) -> None:
-    """Raise ValueError unless R is Hermitian and PSD within tolerance."""
-    R = np.asarray(R)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ValueError("covariance must be square")
-    asym = np.max(np.abs(R - R.conj().T))
-    if asym > hermitian_tol:
-        raise ValueError(f"covariance is not Hermitian (max asymmetry {asym:.3e})")
-    eigs = np.linalg.eigvalsh(R)
-    floor = -psd_tol * max(np.trace(R).real, 0.0) / R.shape[0]
-    if eigs.min() < floor:
-        raise ValueError(f"covariance is not PSD (min eigenvalue {eigs.min():.3e})")
-
-
 def _scene_steering(geometry, scene, frequency_hz, c_mps):
     directions = [scene.desired.direction] + [s.direction for s in scene.interferers]
     az = [d.azimuth_deg for d in directions]
@@ -108,17 +91,6 @@ def covariance_analytic(geometry: ArrayGeometry, scene: Scene, frequency_hz: flo
         R = R + src.power * np.outer(g, g.conj())
     R = R + scene.noise_power * np.eye(L)
     return R
-
-
-def interference_root(scene: Scene, geometry: ArrayGeometry, frequency_hz: float,
-                      c_mps: float = SPEED_OF_SOUND_MPS) -> np.ndarray:
-    """Columns g_k * sqrt(power_k); B B^H reproduces the interference part.
-
-    With no interferers the result is an (L, 0) matrix, not an error.
-    """
-    _, G = _scene_steering(geometry, scene, frequency_hz, c_mps)
-    powers = np.array([s.power for s in scene.interferers])
-    return G * np.sqrt(powers)[None, :]
 
 
 def synthesize_snapshots(geometry: ArrayGeometry, scene: Scene, frequency_hz: float,
@@ -161,22 +133,6 @@ def sample_covariance(block: SnapshotBlock) -> np.ndarray:
 # interferer block.  Top-level keys: noise_power, frequency_hz, c_mps.
 
 
-def format_scene(scene: Scene, frequency_hz: float, c_mps: float = SPEED_OF_SOUND_MPS) -> str:
-    lines = [
-        f"frequency_hz = {frequency_hz:.10g}",
-        f"c_mps = {c_mps:.10g}",
-        f"noise_power = {scene.noise_power:.10g}",
-        f"desired.azimuth_deg = {scene.desired.direction.azimuth_deg:.10g}",
-        f"desired.elevation_deg = {scene.desired.direction.elevation_deg:.10g}",
-        f"desired.power = {scene.desired.power:.10g}",
-    ]
-    for src in scene.interferers:
-        lines.append(f"interferer.azimuth_deg = {src.direction.azimuth_deg:.10g}")
-        lines.append(f"interferer.elevation_deg = {src.direction.elevation_deg:.10g}")
-        lines.append(f"interferer.power = {src.power:.10g}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_scene_text(text: str, source: str = "<scene>") -> tuple:
     """Parse scene text; returns (Scene, frequency_hz, c_mps)."""
     top = {}
@@ -194,22 +150,24 @@ def parse_scene_text(text: str, source: str = "<scene>") -> tuple:
             number = float(value)
         except ValueError:
             raise ConfigError(key, f"not a number: {value!r}") from None
-        if key.startswith("desired."):
-            desired[key.split(".", 1)[1]] = number
-        elif key.startswith("interferer."):
-            sub = key.split(".", 1)[1]
+        group, _, sub = key.partition(".")
+        if group == "desired" and sub in _SOURCE_KEYS:
+            desired[sub] = number
+        elif group == "interferer" and sub in _SOURCE_KEYS:
             if sub == "azimuth_deg" or current is None:
                 current = {}
                 interferers.append(current)
             current[sub] = number
-        else:
+        elif key in _SCENE_KEYS:
             top[key] = number
-    for req in ("azimuth_deg", "elevation_deg", "power"):
+        else:
+            raise ConfigError(key, "unknown scene key")
+    for req in _SOURCE_KEYS:
         if req not in desired:
             raise ConfigError(f"desired.{req}", "missing from scene description")
     sources = []
     for i, block in enumerate(interferers):
-        for req in ("azimuth_deg", "elevation_deg", "power"):
+        for req in _SOURCE_KEYS:
             if req not in block:
                 raise ConfigError(f"interferer.{req}", f"missing in interferer block {i + 1}")
         sources.append(PointSource(Direction(block["azimuth_deg"], block["elevation_deg"]),
@@ -229,31 +187,3 @@ def load_scene_file(path) -> tuple:
     with open(path) as fh:
         return parse_scene_text(fh.read(), source=str(path))
 
-
-# -- snapshot block files ----------------------------------------------------
-
-
-def save_snapshots(block: SnapshotBlock, path) -> None:
-    """32-byte header then float64 (re, im) pairs in snapshot-major order."""
-    L, N = block.samples.shape
-    header = _SNAP_HEADER.pack(SNAPSHOT_MAGIC, 1, 0, L, N, block.sample_rate_hz)
-    body = np.ascontiguousarray(block.samples.T, dtype="<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + b"\x00" * _SNAP_PAD + body)
-
-
-def load_snapshots(path) -> SnapshotBlock:
-    with open(path, "rb") as fh:
-        raw = fh.read(32)
-        if len(raw) < 32:
-            raise ValueError(f"{path}: truncated snapshot header")
-        magic, version, _, L, N, rate = _SNAP_HEADER.unpack(raw[:_SNAP_HEADER.size])
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != 1:
-            raise ValueError(f"{path}: unsupported version {version}")
-        body = fh.read(16 * L * N)
-    if len(body) != 16 * L * N:
-        raise ValueError(f"{path}: truncated snapshot body")
-    samples = np.frombuffer(body, dtype="<c16").reshape(N, L).T
-    return SnapshotBlock(samples=samples, sample_rate_hz=rate)

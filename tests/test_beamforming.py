@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sonarray.beamforming import (GridSpec, PowerMap, bartlett_power,
-                                  doa_peaks, grid_powers, mvdr_power,
+from sonarray.beamforming import (GridSpec, PowerMap, doa_peaks, grid_powers,
                                   mvdr_weights, power_map, psf, psf_metrics,
                                   save_power_map_csv, save_power_map_pgm)
 from sonarray.errors import NoPeakError, SingularMatrixError
@@ -25,6 +24,11 @@ def single_source_scene(direction, sd2=1.0, sv2=0.1):
     return Scene(desired=PointSource(direction, sd2), noise_power=sv2)
 
 
+def look_power(R, sv, kind, loading=0.0):
+    """Beamformer power toward one steering vector, via the grid path."""
+    return grid_powers(R, sv.entries[:, None], kind, loading)[0]
+
+
 def mvdr_closed_form(rho, sd2, sv2, n):
     """Matrix-inversion-lemma oracle for a single-source-plus-noise scene.
 
@@ -38,30 +42,31 @@ class TestBartlett:
         look = Direction(0, 0)
         sv = steering_vector(geometry, look, FREQ, C)
         R = covariance_analytic(geometry, single_source_scene(look, 1.0, 0.0), FREQ, C)
-        assert abs(bartlett_power(R, sv) - 1.0) < 1e-12
+        assert abs(look_power(R, sv, "bartlett") - 1.0) < 1e-12
 
     def test_white_noise_floor(self, geometry):
         sv = steering_vector(geometry, Direction(17, -4), FREQ, C)
         R = 0.1 * np.eye(L)
-        assert abs(bartlett_power(R, sv) - 0.1 / L) < 1e-15
+        assert abs(look_power(R, sv, "bartlett") - 0.1 / L) < 1e-15
 
     def test_source_plus_noise_adds(self, geometry):
         look = Direction(0, 0)
         sv = steering_vector(geometry, look, FREQ, C)
         R = covariance_analytic(geometry, single_source_scene(look), FREQ, C)
-        assert abs(bartlett_power(R, sv) - (1.0 + 0.1 / L)) < 1e-12
+        assert abs(look_power(R, sv, "bartlett") - (1.0 + 0.1 / L)) < 1e-12
 
     def test_dimension_mismatch(self, geometry):
         sv = steering_vector(geometry, Direction(0, 0), FREQ, C)
-        with pytest.raises(ValueError):
-            bartlett_power(np.eye(4), sv)
+        for kind in ("bartlett", "mvdr"):
+            with pytest.raises(ValueError):
+                look_power(np.eye(4), sv, kind)
 
 
 class TestMvdr:
     def test_identity_reduces_to_bartlett_weights(self, geometry):
         sv = steering_vector(geometry, Direction(33, 12), FREQ, C)
-        w = mvdr_weights(np.eye(L, dtype=complex), sv)
-        assert np.max(np.abs(w.entries - sv.entries / L)) < 1e-12
+        w = mvdr_weights(np.eye(L, dtype=complex), sv.entries)
+        assert np.max(np.abs(w - sv.entries / L)) < 1e-12
 
     def test_closed_form_at_source(self, geometry):
         look = Direction(0, 0)
@@ -69,29 +74,29 @@ class TestMvdr:
         R = covariance_analytic(geometry, single_source_scene(look), FREQ, C)
         expected = 1.0 + 0.1 / L  # rho = 1 in the inversion-lemma oracle
         assert abs(mvdr_closed_form(1.0, 1.0, 0.1, L) - expected) < 1e-15
-        assert abs(mvdr_power(R, sv) - expected) <= 1e-9 * expected
-        w = mvdr_weights(R, sv)
-        power_via_weights = np.vdot(w.entries, R @ w.entries).real
-        assert abs(power_via_weights - mvdr_power(R, sv)) <= 1e-9 * expected
+        assert abs(look_power(R, sv, "mvdr") - expected) <= 1e-9 * expected
+        w = mvdr_weights(R, sv.entries)
+        power_via_weights = np.vdot(w, R @ w).real
+        assert abs(power_via_weights - look_power(R, sv, "mvdr")) <= 1e-9 * expected
 
     def test_zero_matrix_is_singular(self, geometry):
         sv = steering_vector(geometry, Direction(0, 0), FREQ, C)
         with pytest.raises(SingularMatrixError):
-            mvdr_weights(np.zeros((L, L), dtype=complex), sv, loading=0.0)
+            mvdr_weights(np.zeros((L, L), dtype=complex), sv.entries, loading=0.0)
 
     def test_loading_rescues_singular_covariance(self, geometry):
         look = Direction(0, 0)
         sv = steering_vector(geometry, look, FREQ, C)
         R = covariance_analytic(geometry, single_source_scene(look, 1.0, 0.0), FREQ, C)
         with pytest.raises(SingularMatrixError):
-            mvdr_power(R, sv, loading=0.0)
-        assert mvdr_power(R, sv, loading=1e-3) > 0
+            look_power(R, sv, "mvdr", loading=0.0)
+        assert look_power(R, sv, "mvdr", loading=1e-3) > 0
 
     def test_white_noise_power_is_flat(self, geometry):
         R = 0.25 * np.eye(L)
         for az, el in [(0, 0), (41, 7), (-60, -30)]:
             sv = steering_vector(geometry, Direction(az, el), FREQ, C)
-            assert abs(mvdr_power(R, sv) - 0.25 / L) < 1e-12
+            assert abs(look_power(R, sv, "mvdr") - 0.25 / L) < 1e-12
 
     def test_closed_form_across_directions(self, geometry):
         source = Direction(20, 0)
@@ -101,7 +106,7 @@ class TestMvdr:
             sv = steering_vector(geometry, Direction(az, el), FREQ, C)
             rho = abs(np.vdot(sv.entries, d_s)) ** 2 / L ** 2
             expected = mvdr_closed_form(rho, 1.0, 0.1, L)
-            assert abs(mvdr_power(R, sv) - expected) <= 1e-9 * expected
+            assert abs(look_power(R, sv, "mvdr") - expected) <= 1e-9 * expected
 
     def test_distortionless_constraint(self, geometry):
         rng = np.random.default_rng(8)
@@ -109,25 +114,24 @@ class TestMvdr:
         R = A @ A.conj().T / L + 0.01 * np.eye(L)
         for az, el in [(0, 0), (30, 10), (-75, 40)]:
             sv = steering_vector(geometry, Direction(az, el), FREQ, C)
-            w = mvdr_weights(R, sv)
-            assert abs(np.vdot(w.entries, sv.entries) - 1.0) <= 1e-9
+            w = mvdr_weights(R, sv.entries)
+            assert abs(np.vdot(w, sv.entries) - 1.0) <= 1e-9
 
     def test_mvdr_never_exceeds_bartlett(self, geometry):
         source = Direction(-10, 5)
         R = covariance_analytic(geometry, single_source_scene(source, 2.0, 0.05), FREQ, C)
         for az, el in [(-10, 5), (0, 0), (44, -3), (-80, 60)]:
             sv = steering_vector(geometry, Direction(az, el), FREQ, C)
-            assert mvdr_power(R, sv) <= bartlett_power(R, sv) + 1e-12
+            assert look_power(R, sv, "mvdr") <= look_power(R, sv, "bartlett") + 1e-12
 
     def test_scale_equivariance(self, geometry):
         source = Direction(15, -20)
         sv = steering_vector(geometry, Direction(10, 0), FREQ, C)
         R = covariance_analytic(geometry, single_source_scene(source), FREQ, C)
         alpha = 3.7
-        assert np.isclose(bartlett_power(alpha * R, sv),
-                          alpha * bartlett_power(R, sv), rtol=1e-12)
-        assert np.isclose(mvdr_power(alpha * R, sv),
-                          alpha * mvdr_power(R, sv), rtol=1e-12)
+        for kind in ("bartlett", "mvdr"):
+            assert np.isclose(look_power(alpha * R, sv, kind),
+                              alpha * look_power(R, sv, kind), rtol=1e-12)
 
     def test_interference_null_depth(self, geometry):
         # beam steered at the desired source: the adaptive pattern puts
@@ -141,7 +145,7 @@ class TestMvdr:
         sv_d = steering_vector(geometry, desired, FREQ, C)
         g = steering_vector(geometry, jammer, FREQ, C).entries
         w_bartlett = sv_d.entries / L
-        w_mvdr = mvdr_weights(R, sv_d).entries
+        w_mvdr = mvdr_weights(R, sv_d.entries)
         rejection_gain = (abs(np.vdot(w_bartlett, g)) ** 2
                           / abs(np.vdot(w_mvdr, g)) ** 2)
         assert 10 * math.log10(rejection_gain) >= 10.0

@@ -3,8 +3,9 @@ import sys
 
 import numpy as np
 
-from sonarray.cli import main
+from sonarray.cli import Config, main
 from sonarray.framing import Frame, encode_frame
+from sonarray.geometry import default_circular_array, geometry_fingerprint
 from sonarray.waveform import load_pcm
 
 
@@ -89,6 +90,16 @@ class TestScanCommand:
         assert rc == 2
         assert "scene.file" in capsys.readouterr().err
 
+    def test_misspelled_scene_key_is_config_error(self, tmp_path, capsys):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(
+            "frequency_hz = 40000\nnoise_pwr = 0.5\n"
+            "desired.azimuth_deg = 0\ndesired.elevation_deg = 0\n"
+            "desired.power = 1\n")
+        rc = run(["scan", "--out", str(tmp_path), "--set", f"scene.file={scene}"])
+        assert rc == 2
+        assert "noise_pwr" in capsys.readouterr().err
+
     def test_singular_covariance_is_runtime_error(self, tmp_path, capsys):
         scene = tmp_path / "scene.txt"
         scene.write_text(
@@ -99,6 +110,29 @@ class TestScanCommand:
                   "--set", "beamformer.loading=0"])
         assert rc == 3
         assert "loading" in capsys.readouterr().err
+
+
+class TestGeometryKeys:
+    def test_circle_keys_take_effect(self):
+        g = Config({"geometry.elements": "8", "geometry.diameter_m": "0.02"}).geometry()
+        assert g.n_elements == 8
+        assert np.allclose(np.linalg.norm(g.elements, axis=1), 0.01)
+
+    def test_default_is_stock_array(self):
+        assert (geometry_fingerprint(Config({}).geometry())
+                == geometry_fingerprint(default_circular_array()))
+
+    def test_csv_wins_over_circle_keys(self, tmp_path):
+        path = tmp_path / "layout.csv"
+        path.write_text("x_m,y_m,z_m,index\n0.015,0,0,0\n0,0.015,0,1\n"
+                        "-0.015,0,0,2\n0,-0.015,0,3\n")
+        g = Config({"geometry.csv": str(path), "geometry.elements": "8"}).geometry()
+        assert g.n_elements == 4
+
+    def test_preset_key_is_unknown(self, tmp_path, capsys):
+        rc = run(["psf", "--out", str(tmp_path), "--set", "geometry.preset=circular16"])
+        assert rc == 2
+        assert "geometry.preset" in capsys.readouterr().err
 
 
 class TestChirpCommand:

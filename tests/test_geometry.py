@@ -9,8 +9,7 @@ from sonarray.geometry import (ArrayGeometry, Direction,
                                build_uniform_circular_array,
                                default_circular_array, direction_unit_vector,
                                geometry_fingerprint, load_geometry_csv,
-                               save_geometry_csv, steering_matrix,
-                               steering_vector, unit_vectors)
+                               steering_matrix, steering_vector, unit_vectors)
 
 angles = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 
@@ -153,12 +152,21 @@ class TestSteeringVector:
 
 class TestGeometryCsv:
     def test_round_trip(self, tmp_path):
-        g = default_circular_array()
         path = tmp_path / "layout.csv"
-        save_geometry_csv(g, path)
-        g2 = load_geometry_csv(path)
-        assert np.allclose(g.elements, g2.elements, atol=1e-12)
-        assert geometry_fingerprint(g) == geometry_fingerprint(g2)
+        path.write_text("x_m,y_m,z_m,index\n"
+                        "0.015,0,0,0\n"
+                        "0,0.015,0,1\n"
+                        "-0.015,0,0,2\n"
+                        "0,-0.015,0,3\n")
+        g = load_geometry_csv(path)
+        assert np.allclose(g.elements, build_uniform_circular_array(4, 0.030).elements,
+                           atol=1e-12)
+        # 17 significant digits reproduce the stock layout bit for bit
+        stock = default_circular_array()
+        rows = "".join(f"{x!r},{y!r},{z!r},{i}\n"
+                       for i, (x, y, z) in enumerate(stock.elements.tolist()))
+        path.write_text("x_m,y_m,z_m,index\n" + rows)
+        assert geometry_fingerprint(load_geometry_csv(path)) == geometry_fingerprint(stock)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

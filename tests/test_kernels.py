@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -20,13 +16,6 @@ def band_limited_signal(n=100_000, seed=1):
 class TestBackendSelection:
     def test_active_backend_is_available(self):
         assert _kernels.BACKEND in available_backends()
-
-    def test_forced_pure_env(self):
-        code = ("import os; os.environ['SONARRAY_PURE_PYTHON']='1'; "
-                "from sonarray._kernels import BACKEND; print(BACKEND)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env={**os.environ})
-        assert out.stdout.strip() == "pure"
 
 
 class TestBackendEquivalence:
