@@ -8,7 +8,8 @@ Covers the path from acoustics to bits and back:
 * :func:`pdm_modulate` converts PCM to a 1-bit stream with a 2nd-order
   sigma-delta modulator clocked at 4.45 MHz (the hot loop lives in
   ``sonarray._kernels`` with a compiled backend when available).
-* :func:`pdm_decimate` recovers PCM with a 4-stage CIC decimator plus a
+* :func:`pdm_decimate` recovers PCM with a 4-stage CIC decimator (exact
+  integer arithmetic, evaluated in polyphase form) plus a
   droop-compensating FIR.
 * :func:`demodulate_capture` produces complex-envelope snapshots by
   quadrature demodulation at the probe's center frequency, which is how
@@ -240,25 +241,64 @@ def _compensator_taps(rate_out_hz: float, factor: int) -> np.ndarray:
     return taps
 
 
+@lru_cache(maxsize=8)
+def _cic_phase_tables(factor: int) -> np.ndarray:
+    """Order-4 CIC polyphase sums as per-byte lookup tables.
+
+    The integer impulse response h (4*factor-3 taps) splits into 4
+    phases: phase j holds h[j*factor + factor-1-i] for i = 0..factor-1,
+    so block m of the input dotted with phase j is block m's share of
+    output m + j.  With each block packed MSB-first into ceil(factor/8)
+    bytes, table[k, v, j] is the dot product of phase j with byte k of a
+    block when that byte has value v.
+    """
+    h = np.ones(1, dtype=np.int64)
+    for _ in range(4):
+        h = np.convolve(h, np.ones(factor, dtype=np.int64))
+    h = np.concatenate((h, np.zeros(4 * factor - h.size, dtype=np.int64)))
+    n_bytes = -(-factor // 8)
+    phases = np.zeros((8 * n_bytes, 4), dtype=np.int64)
+    phases[:factor] = h.reshape(4, factor)[:, ::-1].T
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    table = np.einsum("vt,ktj->kvj", byte_bits.astype(np.int64),
+                      phases.reshape(n_bytes, 8, 4)).astype(float)
+    table.flags.writeable = False  # cached; guard against callers mutating it
+    return table
+
+
 def pdm_decimate(stream: PdmStream, factor: int = DECIMATION_FACTOR) -> PcmTrace:
     """4-stage CIC decimation plus FIR droop compensation.
 
     Bits map to +-1; the CIC gain factor**4 is divided out, so a constant
-    full-scale stream settles at +-1.0.  Integrator/comb arithmetic runs
-    modulo 2**64, which is exact for any practical stream length.
+    full-scale stream settles at +-1.0.  The CIC runs in polyphase form:
+    the stream is cut into blocks of ``factor`` bits and output m sums
+    blocks m-3..m against the 4 phases of the integer impulse response,
+    read from per-byte tables.  Every partial sum is an integer no larger
+    than factor**4, so the float64 arithmetic is exact and the output
+    equals the textbook integrator/comb cascade sampled at bits factor-1,
+    2*factor-1, ...; trailing bits short of a whole block are dropped.
     """
     if factor < 2:
         raise ValueError("factor must be >= 2")
     if stream.n_bits < factor:
         raise ValueError("stream shorter than one decimation step")
-    bits = stream.bits()
-    x = np.where(bits > 0, np.uint64(1), np.uint64(0xFFFFFFFFFFFFFFFF))
-    for _ in range(4):
-        x = np.cumsum(x, dtype=np.uint64)
-    y = x[factor - 1::factor]
-    for _ in range(4):
-        y = np.diff(y, prepend=np.uint64(0))
-    vals = y.view(np.int64).astype(float) / float(factor) ** 4
+    n_out = stream.n_bits // factor
+    table = _cic_phase_tables(factor)
+    n_bytes = table.shape[0]
+    aligned = np.zeros((n_out, 8 * n_bytes), dtype=np.uint8)  # blocks start on a byte
+    aligned[:, :factor] = stream.bits()[:n_out * factor].reshape(n_out, factor)
+    blocks = np.packbits(aligned).reshape(n_out, n_bytes)
+    # partial[m, j]: block m dotted with phase j, summed byte by byte for
+    # 0/1 bits, then mapped to +-1 bits as 2*(0/1 sum) - (phase sum)
+    partial = table[0].take(blocks[:, 0], axis=0)
+    for k in range(1, n_bytes):
+        partial += table[k].take(blocks[:, k], axis=0)
+    partial *= 2.0
+    partial -= table[:, 255].sum(axis=0)
+    cic = partial[:, 0].copy()
+    for j in range(1, 4):
+        cic[j:] += partial[:-j, j]
+    vals = cic / float(factor) ** 4
     rate_out = stream.rate_hz / factor
     taps = _compensator_taps(rate_out, factor)
     out = scipy.signal.fftconvolve(vals, taps, mode="same")
@@ -277,23 +317,25 @@ def demodulate_capture(capture: MultichannelCapture, carrier_hz: float, *,
 
     Each channel is mixed with exp(-j*2*pi*carrier*t) and low-pass
     filtered (linear-phase FIR, delay-compensated); ``gate`` selects the
-    snapshot sample range, e.g. the echo region.
+    snapshot sample range, e.g. the echo region, and None keeps the whole
+    trace.  Only the gate plus the filter's half-length on either side is
+    mixed and filtered; samples beyond the trace count as zero, so the
+    result is the full-trace filter output sliced to the gate.
     """
     fs = capture.sample_rate_hz
     if not 0 < carrier_hz < fs / 2:
         raise ValueError("carrier_hz must lie below Nyquist")
     n = capture.n_samples
-    t = np.arange(n) / fs
-    osc = np.exp(-2j * np.pi * carrier_hz * t)
+    start, stop = (0, n) if gate is None else gate
+    if not 0 <= start < stop <= n:
+        raise ValueError("gate must satisfy 0 <= start < stop <= n_samples")
+    half = DEMOD_NUMTAPS // 2
+    lo, hi = max(start - half, 0), min(stop + half, n)
+    x = np.vstack([tr.samples[lo:hi] for tr in capture.channels])
+    mixed = x * np.exp(-2j * np.pi * carrier_hz * (np.arange(lo, hi) / fs))
+    mixed = np.pad(mixed, ((0, 0), (lo - (start - half), stop + half - hi)))
     taps = scipy.signal.firwin(DEMOD_NUMTAPS, DEMOD_CUTOFF_HZ, fs=fs)
-    rows = [2.0 * scipy.signal.fftconvolve(tr.samples * osc, taps, mode="same")
-            for tr in capture.channels]
-    z = np.vstack(rows)
-    if gate is not None:
-        start, stop = gate
-        if not 0 <= start < stop <= n:
-            raise ValueError("gate must satisfy 0 <= start < stop <= n_samples")
-        z = z[:, start:stop]
+    z = 2.0 * scipy.signal.fftconvolve(mixed, taps[None, :], mode="valid", axes=1)
     return SnapshotBlock(samples=z, sample_rate_hz=fs)
 
 

@@ -12,6 +12,12 @@ use 0 for analytic covariances and about 1e-3 for sample covariances
 estimated from few snapshots.  Grid scans share one factorization across
 all nodes and are evaluated with vectorized solves, so results are
 independent of evaluation order.
+
+The scan steering matrix depends only on the geometry's content (its
+``geometry_fingerprint``), the grid, the frequency and c, not on R, so
+``power_map`` caches the most recent one, read-only, and reuses it while
+those four stay the same: a ping-rate scan or a Bartlett/MVDR pair over
+one grid builds it once.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import scipy.ndimage
 
 from .errors import NoPeakError, SingularMatrixError
 from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
-                       steering_matrix)
+                       geometry_fingerprint, steering_matrix)
 from .signalmodel import PointSource, Scene, covariance_analytic
 
 BEAMFORMERS = ("bartlett", "mvdr")
@@ -153,15 +159,35 @@ def grid_powers(R: np.ndarray, D: np.ndarray, beamformer: str = "bartlett",
     return np.maximum(vals, 0.0)
 
 
+# One entry: (geometry fingerprint, grid, frequency, c) -> read-only (L, M)
+# steering matrix.  A ping-rate scan repeats the same key, and one entry
+# bounds the memory at a single matrix.
+_scan_steering_cache: dict = {}
+
+
+def _scan_steering(geometry: ArrayGeometry, grid: GridSpec, frequency_hz: float,
+                   c_mps: float) -> np.ndarray:
+    """Steering matrix over the grid nodes, elevation-major, cached."""
+    key = (geometry_fingerprint(geometry), grid, float(frequency_hz), float(c_mps))
+    D = _scan_steering_cache.get(key)
+    if D is None:
+        az, el = grid.axes()
+        AZ, EL = np.meshgrid(az, el)
+        D = steering_matrix(geometry, AZ.ravel(), EL.ravel(), frequency_hz, c_mps)
+        D.flags.writeable = False
+        _scan_steering_cache.clear()
+        _scan_steering_cache[key] = D
+    return D
+
+
 def power_map(geometry: ArrayGeometry, R: np.ndarray, grid: GridSpec,
               frequency_hz: float, c_mps: float = SPEED_OF_SOUND_MPS, *,
               beamformer: str = "bartlett", loading: float = 0.0) -> PowerMap:
     """Scan the chosen beamformer's output power over the grid."""
     az, el = grid.axes()
-    AZ, EL = np.meshgrid(az, el)
-    D = steering_matrix(geometry, AZ.ravel(), EL.ravel(), frequency_hz, c_mps)
-    vals = grid_powers(R, D, beamformer, loading)
-    return PowerMap(azimuth_deg=az, elevation_deg=el, power=vals.reshape(EL.shape))
+    vals = grid_powers(R, _scan_steering(geometry, grid, frequency_hz, c_mps),
+                       beamformer, loading)
+    return PowerMap(azimuth_deg=az, elevation_deg=el, power=vals.reshape(el.size, az.size))
 
 
 def psf(geometry: ArrayGeometry, source: Direction, source_power: float,

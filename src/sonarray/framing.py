@@ -22,6 +22,7 @@ chunking of the same byte stream.
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 import zlib
@@ -219,8 +220,14 @@ def stream_throughput_bench(frame_payload_bytes: int = 8192,
                             duration_s: float = 2.0) -> ThroughputResult:
     """Sustained parse rate on a synthetic clean stream.
 
-    Builds a batch of valid frames and feeds it to a fresh parser in
-    fixed-size chunks, cycling until ``duration_s`` has elapsed.
+    Builds a batch of valid frames and feeds it to a parser in fixed-size
+    chunks: one untimed warm-up pass, then timed passes over the whole
+    batch until ``duration_s`` has elapsed (at least one), each pinned in
+    turn to one of the CPUs the calling thread may use (where the
+    platform allows; the thread's CPU set is restored afterwards).  The
+    rates come from the fastest pass, so a run is not skewed by a partial
+    pass, by a stall on one pass or by a slow CPU; the totals cover all
+    timed passes.
     """
     rng = np.random.default_rng(12345)
     samples_per_channel = max(8 * frame_payload_bytes // _BENCH_CHANNELS, 8)
@@ -235,16 +242,32 @@ def stream_throughput_bench(frame_payload_bytes: int = 8192,
         seq += 1
     batch = bytes(batch)
     parser = StreamParser()
-    fed = 0
-    start = time.perf_counter()
-    elapsed = 0.0
-    while elapsed < duration_s:
+
+    def one_pass() -> float:
+        start = time.perf_counter()
         for off in range(0, len(batch), _BENCH_CHUNK_BYTES):
             parser.feed(batch[off:off + _BENCH_CHUNK_BYTES])
-        fed += len(batch)
-        elapsed = time.perf_counter() - start
-    rate = fed / elapsed if elapsed > 0 else float("inf")
+        return time.perf_counter() - start
+
+    # A shared host can run its CPUs at different speeds for seconds at a
+    # time, so timed passes take turns on each CPU this thread may use:
+    # the best pass then does not hinge on where the scheduler put it.
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    one_pass()
+    warm_frames = parser.stats.frames_ok
+    passes = []
+    try:
+        while not passes or sum(passes) < duration_s:
+            if cpus:
+                os.sched_setaffinity(0, {cpus[len(passes) % len(cpus)]})
+            passes.append(one_pass())
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+    best = min(passes)
+    rate = len(batch) / best
     return ThroughputResult(bytes_per_s=rate, megabits_per_s=rate * 8 / 1e6,
-                            frames_per_s=parser.stats.frames_ok / elapsed,
-                            bytes_total=fed, frames_total=parser.stats.frames_ok,
-                            elapsed_s=elapsed)
+                            frames_per_s=seq / best,
+                            bytes_total=len(batch) * len(passes),
+                            frames_total=parser.stats.frames_ok - warm_frames,
+                            elapsed_s=sum(passes))

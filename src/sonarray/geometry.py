@@ -182,7 +182,7 @@ def load_geometry_csv(path) -> ArrayGeometry:
 
 
 def geometry_fingerprint(geometry: ArrayGeometry) -> str:
-    """Stable SHA-256 over the element layout, for capture manifests."""
+    """Stable SHA-256 over the element layout and reference point."""
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(geometry.elements, dtype="<f8").tobytes())
     digest.update(np.ascontiguousarray(geometry.reference_point, dtype="<f8").tobytes())

@@ -5,9 +5,9 @@ import pytest
 import scipy.signal
 
 from sonarray.acquisition import (CHANNEL_COUNT, DECIMATION_FACTOR,
-                                  PDM_RATE_HZ, USB_LINK_BUDGET_BPS,
-                                  MultichannelCapture, PdmStream,
-                                  ReflectorTarget, _cic_magnitude,
+                                  DEMOD_CUTOFF_HZ, DEMOD_NUMTAPS, PDM_RATE_HZ,
+                                  USB_LINK_BUDGET_BPS, MultichannelCapture,
+                                  PdmStream, ReflectorTarget, _cic_magnitude,
                                   _compensator_taps, aggregate_pdm_rate_bps,
                                   decimation_settling_samples,
                                   demodulate_capture, echo_geometry,
@@ -164,19 +164,21 @@ class TestPdmDecimate:
             pdm_decimate(stream, factor=1)
 
     def test_cic_matches_arbitrary_precision_oracle(self):
-        # the uint64 wraparound arithmetic must be exact, not approximate
+        # the polyphase CIC must equal the textbook integrator/comb cascade
+        # in Python ints bit for bit, for any factor and for lengths that
+        # leave a partial block
         rng = np.random.default_rng(77)
-        bits = rng.integers(0, 2, 20_000).astype(np.uint8)
+        bits = rng.integers(0, 2, 20_003).astype(np.uint8)
+        integrated = [1 if b else -1 for b in bits]  # Python ints: no overflow
+        for _ in range(4):
+            acc, out = 0, []
+            for v in integrated:
+                acc += v
+                out.append(acc)
+            integrated = out
 
-        def cic_exact(bits, factor):
-            x = [1 if b else -1 for b in bits]  # Python ints: no overflow
-            for _ in range(4):
-                acc, out = 0, []
-                for v in x:
-                    acc += v
-                    out.append(acc)
-                x = out
-            dec = x[factor - 1::factor]
+        def cic_exact(n, factor):
+            dec = integrated[factor - 1:n:factor]
             for _ in range(4):
                 prev, out = 0, []
                 for v in dec:
@@ -185,15 +187,15 @@ class TestPdmDecimate:
                 dec = out
             return np.array(dec, dtype=float) / factor ** 4
 
-        expected = cic_exact(bits, 16)
-        x = np.where(bits > 0, np.uint64(1), np.uint64(0xFFFFFFFFFFFFFFFF))
-        for _ in range(4):
-            x = np.cumsum(x, dtype=np.uint64)
-        y = x[15::16]
-        for _ in range(4):
-            y = np.diff(y, prepend=np.uint64(0))
-        got = y.view(np.int64).astype(float) / 16.0 ** 4
-        assert np.array_equal(got, expected)
+        for factor in (2, 3, 5, 8, 16, 17, 32):
+            for n in (factor, 5 * factor - 1, bits.size):
+                stream = PdmStream(data=np.packbits(bits[:n]).tobytes(), n_bits=n,
+                                   rate_hz=PDM_RATE_HZ)
+                taps = _compensator_taps(PDM_RATE_HZ / factor, factor)
+                expected = scipy.signal.fftconvolve(cic_exact(n, factor), taps,
+                                                    mode="same")
+                got = pdm_decimate(stream, factor).samples
+                assert np.array_equal(got, expected), (factor, n)
 
     @pytest.mark.parametrize("factor", [8, 32])
     def test_other_decimation_factors(self, factor):
@@ -272,6 +274,24 @@ class TestDemodulation:
         mid = block.samples[:, block.n_snapshots // 2]
         phases = np.angle(mid / mid[0])
         assert np.max(np.abs(phases)) < 0.2
+
+    def test_gate_matches_full_length_filter(self, geometry, template):
+        target = ReflectorTarget(Direction(20, 5), 1.0)
+        cap = synthesize_capture(geometry, target, template, 30.0, rng_seed=4,
+                                 window_s=0.02)
+        n = cap.n_samples
+        t = np.arange(n) / FS
+        osc = np.exp(-2j * np.pi * 40_000.0 * t)
+        taps = scipy.signal.firwin(DEMOD_NUMTAPS, DEMOD_CUTOFF_HZ, fs=FS)
+        full = np.vstack([2.0 * np.convolve(tr.samples * osc, taps, mode="same")
+                          for tr in cap.channels])
+        for gate in [(0, 1), (0, 300), (30, 700), (2000, 2834), (n - 300, n),
+                     (n - 1, n), None]:
+            got = demodulate_capture(cap, 40_000.0, gate=gate).samples
+            start, stop = (0, n) if gate is None else gate
+            ref = full[:, start:stop]
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), gate
 
     def test_gate_validation(self, geometry, template):
         target = ReflectorTarget(Direction(0, 0), 1.0)

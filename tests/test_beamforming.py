@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sonarray.beamforming import (GridSpec, PowerMap, doa_peaks, grid_powers,
-                                  mvdr_weights, power_map, psf, psf_metrics,
-                                  save_power_map_csv, save_power_map_pgm)
+from sonarray.beamforming import (GridSpec, PowerMap, _scan_steering, doa_peaks,
+                                  grid_powers, mvdr_weights, power_map, psf,
+                                  psf_metrics, save_power_map_csv,
+                                  save_power_map_pgm)
 from sonarray.errors import NoPeakError, SingularMatrixError
-from sonarray.geometry import Direction, default_circular_array, steering_vector
+from sonarray.geometry import (Direction, build_uniform_circular_array,
+                               default_circular_array, steering_matrix,
+                               steering_vector)
 from sonarray.signalmodel import PointSource, Scene, covariance_analytic
 
 FREQ = 40_000.0
@@ -176,6 +179,45 @@ class TestPowerMap:
         a = power_map(geometry, R, grid, FREQ, C, beamformer="mvdr")
         b = power_map(geometry, R, grid, FREQ, C, beamformer="mvdr")
         assert np.array_equal(a.power, b.power)
+
+    def test_cached_steering_follows_every_key_part(self):
+        # consecutive calls differ in one key part, so a key that left any
+        # part out would hand back the previous call's matrix
+        ring = build_uniform_circular_array(16, 0.030)
+        twin = build_uniform_circular_array(16, 0.030)
+        small = build_uniform_circular_array(12, 0.030)
+        wide = build_uniform_circular_array(16, 0.060)
+        coarse = GridSpec(az_step_deg=5.0, el_step_deg=5.0)
+        skew = GridSpec(az_start_deg=-60.0, az_step_deg=4.0, el_step_deg=6.0)
+        rng = np.random.default_rng(8)
+
+        def covariance(n):
+            A = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
+            return A @ A.conj().T / (2 * n)
+
+        R = {12: covariance(12), 16: covariance(16)}
+        calls = [(ring, coarse, FREQ, C), (twin, coarse, FREQ, C),
+                 (small, coarse, FREQ, C), (ring, coarse, FREQ, C),
+                 (wide, coarse, FREQ, C), (wide, skew, FREQ, C),
+                 (wide, coarse, FREQ, C), (wide, coarse, 36_000.0, C),
+                 (wide, coarse, 36_000.0, 1480.0), (ring, coarse, 36_000.0, 1480.0),
+                 (ring, coarse, FREQ, C)]
+        for geom, grid, freq, c in calls:
+            az, el = grid.axes()
+            AZ, EL = np.meshgrid(az, el)
+            D = steering_matrix(geom, AZ.ravel(), EL.ravel(), freq, c)
+            cov = R[geom.n_elements]
+            for bf in ("bartlett", "mvdr"):
+                pmap = power_map(geom, cov, grid, freq, c, beamformer=bf)
+                assert np.array_equal(pmap.power.ravel(), grid_powers(cov, D, bf))
+
+    def test_cached_steering_is_shared_and_read_only(self):
+        grid = GridSpec(az_step_deg=5.0, el_step_deg=5.0)
+        D = _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C)
+        assert _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C) is D
+        assert not D.flags.writeable
+        with pytest.raises(ValueError):
+            D[0, 0] = 0.0
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError, match="az_step"):
