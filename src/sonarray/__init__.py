@@ -31,7 +31,7 @@ from .acquisition import (MultichannelCapture, PdmStream, ReflectorTarget,
                           demodulate_capture, pdm_decimate, pdm_modulate,
                           synthesize_capture)
 from .framing import (CorruptionEvent, Frame, StreamParser, StreamStats,
-                      encode_frame, parse_stream, stream_throughput_bench)
+                      encode_frame, parse_stream)
 
 __all__ = [
     "ArrayGeometry", "ChirpSpec", "ConfigError", "CorruptionEvent",
@@ -46,5 +46,5 @@ __all__ = [
     "grid_powers", "matched_filter", "mvdr_weights", "parse_stream",
     "pdm_decimate", "pdm_modulate", "power_map", "psf", "psf_metrics",
     "sample_covariance", "steering_matrix", "steering_vector",
-    "stream_throughput_bench", "synthesize_capture", "synthesize_snapshots",
+    "synthesize_capture", "synthesize_snapshots",
 ]

@@ -11,24 +11,17 @@ from __future__ import annotations
 from . import pure
 
 try:
-    from . import _sdm as _impl  # type: ignore[no-redef]
-    BACKEND = "compiled"
+    from . import _sdm
 except ImportError:
-    _impl = pure
-    BACKEND = "pure"
+    _sdm = None
 
-
-def sigma_delta_bits(x, dither, clip1, clip2, out) -> None:
-    """Modulate ``x`` (float64, |x| <= 1) into 1-bit ``out`` (uint8)."""
-    _impl.sigma_delta_bits(x, dither, clip1, clip2, out)
+BACKEND = "pure" if _sdm is None else "compiled"
+sigma_delta_bits = (pure if _sdm is None else _sdm).sigma_delta_bits
 
 
 def available_backends() -> dict:
     """Name-to-callable map of every importable backend."""
     backends = {"pure": pure.sigma_delta_bits}
-    try:
-        from . import _sdm
+    if _sdm is not None:
         backends["compiled"] = _sdm.sigma_delta_bits
-    except ImportError:
-        pass
     return backends

@@ -58,12 +58,6 @@ PDM_MAGIC = b"PDM1"
 _PDM_HEADER = struct.Struct("<4sHdHQ")  # magic, version, rate, channel, bit count
 
 
-def aggregate_pdm_rate_bps(channels: int = CHANNEL_COUNT,
-                           rate_hz: float = PDM_RATE_HZ) -> float:
-    """Raw multichannel PDM bit rate, for link-budget checks."""
-    return channels * rate_hz
-
-
 @dataclass(frozen=True)
 class ReflectorTarget:
     direction: Direction

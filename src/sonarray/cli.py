@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: psf, scan, chirp, simulate, decode, bench.  Every run is
+Subcommands: psf, scan, chirp, simulate, decode.  Every run is
 driven by a flat key-value config (file via --config, overrides via
 repeatable --set key=value); all randomness derives from one seed.
 Exit codes: 0 success, 2 usage/config error, 3 runtime data error.
@@ -9,14 +9,13 @@ Exit codes: 0 success, 2 usage/config error, 3 runtime data error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, acquisition, beamforming, framing, waveform
-from ._kernels import BACKEND, available_backends
 from .errors import ConfigError, SonarrayError
 from .geometry import (Direction, build_uniform_circular_array,
                        load_geometry_csv)
@@ -59,9 +58,6 @@ DEFAULTS = {
     "decode.rate_hz": "4450000",
     "decode.decimate": "false",
     "decode.factor": "16",
-    "bench.payload_kib": "8",
-    "bench.duration_s": "2.0",
-    "bench.sdm_samples": "2000000",
 }
 
 
@@ -78,7 +74,8 @@ class Config:
     def get(self, key: str) -> str:
         return self.values[key]
 
-    def get_float(self, key: str, *, positive: bool = False) -> float:
+    def get_float(self, key: str, *, positive: bool = False,
+                  minimum: float | None = None) -> float:
         raw = self.values[key]
         try:
             value = float(raw)
@@ -86,6 +83,8 @@ class Config:
             raise ConfigError(key, f"not a number: {raw!r}") from None
         if positive and not value > 0:
             raise ConfigError(key, f"must be > 0, got {raw}")
+        if minimum is not None and not minimum <= value < math.inf:
+            raise ConfigError(key, f"must be finite and >= {minimum:g}, got {raw}")
         return value
 
     def get_int(self, key: str, *, minimum: int | None = None) -> int:
@@ -138,6 +137,18 @@ class Config:
                 sample_rate_hz=self.get_float("chirp.sample_rate_hz", positive=True))
         except ValueError as exc:
             raise ConfigError("chirp", str(exc)) from None
+
+    def target(self) -> acquisition.ReflectorTarget:
+        try:
+            return acquisition.ReflectorTarget(
+                direction=Direction(self.get_float("simulate.azimuth_deg"),
+                                    self.get_float("simulate.elevation_deg")),
+                range_m=self.get_float("simulate.range_m"),
+                strength=self.get_float("simulate.strength"))
+        except ValueError as exc:
+            # Direction and ReflectorTarget name the bad field first,
+            # e.g. "strength must lie in (0, 1]".
+            raise ConfigError(f"simulate.{str(exc).split()[0]}", str(exc)) from None
 
     def chirp_window(self) -> str:
         window = self.get("chirp.window")
@@ -223,8 +234,8 @@ def cmd_psf(args, extra) -> int:
     frequency = cfg.get_float("frequency_hz", positive=True)
     c_mps = cfg.get_float("c_mps", positive=True)
     power = cfg.get_float("psf.power", positive=True)
-    noise = cfg.get_float("psf.noise_power")
-    loading = cfg.get_float("beamformer.loading")
+    noise = cfg.get_float("psf.noise_power", minimum=0)
+    loading = cfg.get_float("beamformer.loading", minimum=0)
     out = _out_dir(args)
     for source in sources:
         for bf in beamformers:
@@ -258,7 +269,7 @@ def cmd_scan(args, extra) -> int:
     kind = cfg.get("beamformer.kind")
     if kind not in beamforming.BEAMFORMERS:
         raise ConfigError("beamformer.kind", f"unknown beamformer {kind!r}")
-    loading = cfg.get_float("beamformer.loading")
+    loading = cfg.get_float("beamformer.loading", minimum=0)
     R = covariance_analytic(geometry, scene, frequency, c_mps)
     pmap = beamforming.power_map(geometry, R, grid, frequency, c_mps,
                                  beamformer=kind, loading=loading)
@@ -290,12 +301,8 @@ def cmd_simulate(args, extra) -> int:
     geometry = cfg.geometry()
     spec = cfg.chirp_spec()
     template = generate_chirp(spec, cfg.chirp_window())
-    target = acquisition.ReflectorTarget(
-        direction=Direction(cfg.get_float("simulate.azimuth_deg"),
-                            cfg.get_float("simulate.elevation_deg")),
-        range_m=cfg.get_float("simulate.range_m", positive=True),
-        strength=cfg.get_float("simulate.strength", positive=True))
-    duration = cfg.get_float("simulate.duration_s")
+    target = cfg.target()
+    duration = cfg.get_float("simulate.duration_s", minimum=0)
     rate = cfg.get_float("simulate.rate_hz", positive=True)
     noise_db = cfg.get_float("simulate.noise_db")
     channel = cfg.get_int("simulate.channel", minimum=0)
@@ -391,41 +398,6 @@ def cmd_decode(args, extra) -> int:
     return 0
 
 
-def cmd_bench(args, extra) -> int:
-    cfg = build_config(args, extra)
-    payload = cfg.get_int("bench.payload_kib", minimum=1) * 1024
-    duration = cfg.get_float("bench.duration_s", positive=True)
-    result = framing.stream_throughput_bench(payload, duration)
-    aggregate = acquisition.aggregate_pdm_rate_bps()
-    print(f"parser: {result.bytes_per_s / 1e6:.1f} MB/s "
-          f"({result.megabits_per_s:.1f} Mb/s, {result.frames_per_s:.0f} frames/s)")
-    print(f"config: aggregate PDM {aggregate / 1e6:.1f} Mb/s "
-          f"< link budget {acquisition.USB_LINK_BUDGET_BPS / 1e6:.0f} Mb/s: "
-          f"{'OK' if aggregate < acquisition.USB_LINK_BUDGET_BPS else 'VIOLATED'}")
-
-    n = cfg.get_int("bench.sdm_samples", minimum=1000)
-    t = np.arange(n) / acquisition.PDM_RATE_HZ
-    tone = 0.5 * np.sin(2 * np.pi * 40_000.0 * t)
-    dither = np.random.default_rng(0).uniform(-1e-3, 1e-3, n)
-    out = np.empty(n, dtype=np.uint8)
-    timings = {}
-    for name, func in sorted(available_backends().items()):
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            func(tone, dither, acquisition.SDM_CLIP1, acquisition.SDM_CLIP2, out)
-            best = min(best, time.perf_counter() - start)
-        timings[name] = best
-        print(f"sigma-delta [{name}]: {n / best / 1e6:.2f} Msamples/s "
-              f"({best * 1e3:.1f} ms for {n} samples)")
-    if "compiled" in timings and "pure" in timings:
-        print(f"sigma-delta speedup: {timings['pure'] / timings['compiled']:.1f}x "
-              f"(active backend: {BACKEND})")
-    else:
-        print(f"sigma-delta active backend: {BACKEND}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sonarray",
@@ -448,8 +420,6 @@ def main(argv=None) -> int:
     decode = sub.add_parser("decode", parents=[common],
                             help="decode a frame stream into per-channel PDM")
     decode.add_argument("input", help="frame stream file, or - for stdin")
-    sub.add_parser("bench", parents=[common],
-                   help="parser throughput and sigma-delta backend comparison")
 
     args, unknown = parser.parse_known_args(argv)
     extra = []
@@ -466,7 +436,6 @@ def main(argv=None) -> int:
         "chirp": cmd_chirp,
         "simulate": cmd_simulate,
         "decode": cmd_decode,
-        "bench": cmd_bench,
     }
     try:
         return handlers[args.command](args, extra)

@@ -22,9 +22,7 @@ chunking of the same byte stream.
 
 from __future__ import annotations
 
-import os
 import struct
-import time
 import zlib
 from dataclasses import dataclass
 
@@ -37,11 +35,6 @@ CRC_SIZE = 4
 MAX_PAYLOAD = 1 << 20
 _SEQ_MOD = 1 << 32
 _SEQ_WINDOW = 1 << 31
-
-# stream_throughput_bench feeds stock 16-channel frames in the chunk size
-# that decode reads.
-_BENCH_CHANNELS = 16
-_BENCH_CHUNK_BYTES = 65536
 
 
 @dataclass(frozen=True)
@@ -204,70 +197,3 @@ def parse_stream(data) -> tuple:
         for chunk in data:
             events.extend(parser.feed(chunk))
     return events, parser.stats
-
-
-@dataclass(frozen=True)
-class ThroughputResult:
-    bytes_per_s: float
-    megabits_per_s: float
-    frames_per_s: float
-    bytes_total: int
-    frames_total: int
-    elapsed_s: float
-
-
-def stream_throughput_bench(frame_payload_bytes: int = 8192,
-                            duration_s: float = 2.0) -> ThroughputResult:
-    """Sustained parse rate on a synthetic clean stream.
-
-    Builds a batch of valid frames and feeds it to a parser in fixed-size
-    chunks: one untimed warm-up pass, then timed passes over the whole
-    batch until ``duration_s`` has elapsed (at least one), each pinned in
-    turn to one of the CPUs the calling thread may use (where the
-    platform allows; the thread's CPU set is restored afterwards).  The
-    rates come from the fastest pass, so a run is not skewed by a partial
-    pass, by a stall on one pass or by a slow CPU; the totals cover all
-    timed passes.
-    """
-    rng = np.random.default_rng(12345)
-    samples_per_channel = max(8 * frame_payload_bytes // _BENCH_CHANNELS, 8)
-    batch = bytearray()
-    seq = 0
-    while len(batch) < max(_BENCH_CHUNK_BYTES * 4, 4 << 20):
-        payload = rng.integers(0, 256, _BENCH_CHANNELS * samples_per_channel // 8,
-                               dtype=np.uint8).tobytes()
-        batch += encode_frame(Frame(sequence=seq, timestamp_ticks=seq * 1000,
-                                    samples_per_channel=samples_per_channel,
-                                    payload=payload, channel_count=_BENCH_CHANNELS))
-        seq += 1
-    batch = bytes(batch)
-    parser = StreamParser()
-
-    def one_pass() -> float:
-        start = time.perf_counter()
-        for off in range(0, len(batch), _BENCH_CHUNK_BYTES):
-            parser.feed(batch[off:off + _BENCH_CHUNK_BYTES])
-        return time.perf_counter() - start
-
-    # A shared host can run its CPUs at different speeds for seconds at a
-    # time, so timed passes take turns on each CPU this thread may use:
-    # the best pass then does not hinge on where the scheduler put it.
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    one_pass()
-    warm_frames = parser.stats.frames_ok
-    passes = []
-    try:
-        while not passes or sum(passes) < duration_s:
-            if cpus:
-                os.sched_setaffinity(0, {cpus[len(passes) % len(cpus)]})
-            passes.append(one_pass())
-    finally:
-        if cpus:
-            os.sched_setaffinity(0, cpus)
-    best = min(passes)
-    rate = len(batch) / best
-    return ThroughputResult(bytes_per_s=rate, megabits_per_s=rate * 8 / 1e6,
-                            frames_per_s=seq / best,
-                            bytes_total=len(batch) * len(passes),
-                            frames_total=parser.stats.frames_ok - warm_frames,
-                            elapsed_s=sum(passes))

@@ -2,6 +2,7 @@ import io
 import sys
 
 import numpy as np
+import pytest
 
 from sonarray.cli import Config, main
 from sonarray.framing import Frame, encode_frame
@@ -47,9 +48,13 @@ class TestPsfCommand:
         assert "grid.az_step" in captured.err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        rc = run(["psf", "--out", str(tmp_path), "--set", "grid.typo=1"])
-        assert rc == 2
-        assert "grid.typo" in capsys.readouterr().err
+        for key in ("grid.typo", "bench.duration_s"):
+            rc = run(["psf", "--out", str(tmp_path), "--set", f"{key}=1"])
+            assert rc == 2
+            assert key in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["bench"])
+        assert exc.value.code == 2
 
     def test_deterministic_outputs(self, tmp_path):
         for sub in ("a", "b"):
@@ -219,18 +224,6 @@ class TestDecodeCommand:
         assert "frames_ok=5" in capsys.readouterr().out
 
 
-class TestBenchCommand:
-    def test_bench_reports(self, tmp_path, capsys):
-        rc = run(["bench", "--set", "bench.duration_s=0.2",
-                  "--set", "bench.sdm_samples=200000"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "parser:" in out
-        assert "aggregate PDM 71.2 Mb/s" in out
-        assert "OK" in out
-        assert "sigma-delta" in out
-
-
 class TestConfigFile:
     def test_config_file_plus_set_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -247,3 +240,21 @@ class TestConfigFile:
         rc = run(["psf", "--config", str(tmp_path / "none.cfg"),
                   "--out", str(tmp_path)])
         assert rc == 2
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "simulate.duration_s", "-1"),
+        ("simulate", "simulate.duration_s", "inf"),
+        ("simulate", "simulate.strength", "2"),
+        ("simulate", "simulate.azimuth_deg", "120"),
+        ("psf", "psf.noise_power", "-1"),
+        ("psf", "beamformer.loading", "-1"),
+    ])
+    def test_exits_2_naming_the_key_before_any_output(self, tmp_path, capsys,
+                                                       command, key, value):
+        out = tmp_path / "out"
+        rc = run([command, "--out", str(out), "--set", f"{key}={value}"])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert list(out.glob("*")) == []

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from sonarray.framing import (CRC_SIZE, HEADER_SIZE, MAGIC, MAX_PAYLOAD,
                               CorruptionEvent, Frame, StreamParser,
-                              encode_frame, parse_stream,
-                              stream_throughput_bench)
+                              encode_frame, parse_stream)
 
 
 def make_frame(seq=0, spc=8, cc=1, ts=0, fill=0x00):
@@ -100,6 +99,11 @@ class TestParseIdentity:
         at_edge = b"".join(encode_frame(make_frame(seq=s)) for s in (0, 2 ** 31 + 1))
         _, stats = parse_stream(at_edge)
         assert stats.frames_lost == 0
+
+    def test_empty_stream_is_not_an_error(self):
+        events, stats = parse_stream(b"")
+        assert events == []
+        assert stats.frames_ok == 0
 
 
 class TestResync:
@@ -201,21 +205,3 @@ class TestCrcStrength:
             events, stats = parse_stream(bytes(flipped))
             assert stats.frames_ok == 0, f"bit {bit} slipped through"
             assert all(not isinstance(e, Frame) for e in events)
-
-
-class TestThroughputBench:
-    def test_empty_stream_is_not_an_error(self):
-        events, stats = parse_stream(b"")
-        assert events == []
-        assert stats.frames_ok == 0
-
-    def test_reports_positive_rate(self):
-        result = stream_throughput_bench(frame_payload_bytes=4096, duration_s=0.2)
-        assert result.bytes_per_s > 0
-        assert result.frames_total > 0
-        assert result.megabits_per_s == pytest.approx(result.bytes_per_s * 8 / 1e6)
-
-    def test_rate_steady_across_durations(self):
-        a = stream_throughput_bench(frame_payload_bytes=4096, duration_s=0.5)
-        b = stream_throughput_bench(frame_payload_bytes=4096, duration_s=1.0)
-        assert 0.8 <= a.bytes_per_s / b.bytes_per_s <= 1.25
