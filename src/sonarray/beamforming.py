@@ -15,9 +15,10 @@ independent of evaluation order.
 
 The scan steering matrix depends only on the geometry's content (its
 ``geometry_fingerprint``), the grid, the frequency and c, not on R, so
-``power_map`` caches the most recent one, read-only, and reuses it while
-those four stay the same: a ping-rate scan or a Bartlett/MVDR pair over
-one grid builds it once.
+``power_map`` caches the most recent one, read-only, together with its
+read-only complex conjugate, and reuses both while those four stay the
+same: a ping-rate scan or a Bartlett/MVDR pair over one grid builds and
+conjugates it once.  A direct ``grid_powers`` call conjugates its own D.
 """
 
 from __future__ import annotations
@@ -125,11 +126,11 @@ def _factorize(R_loaded: np.ndarray):
             "increase the diagonal loading fraction") from exc
 
 
-def _mvdr_solve(R: np.ndarray, D: np.ndarray, loading: float) -> tuple:
+def _mvdr_solve(R: np.ndarray, D: np.ndarray, D_conj: np.ndarray, loading: float) -> tuple:
     """X = R_loaded^-1 D and the per-column d^H R_loaded^-1 d, checked > 0."""
     cho = _factorize(_loaded(R, loading))
     X = scipy.linalg.cho_solve(cho, D, check_finite=False)
-    denom = np.einsum("lm,lm->m", D.conj(), X).real
+    denom = np.einsum("lm,lm->m", D_conj, X).real
     if not np.all(np.isfinite(denom)) or denom.min() <= 0:
         raise SingularMatrixError("d^H R^-1 d is not positive; increase loading")
     return X, denom
@@ -137,13 +138,20 @@ def _mvdr_solve(R: np.ndarray, D: np.ndarray, loading: float) -> tuple:
 
 def mvdr_weights(R: np.ndarray, d: np.ndarray, loading: float = 0.0) -> np.ndarray:
     """Minimum-variance weights with unit gain toward the steering vector d."""
-    X, denom = _mvdr_solve(np.asarray(R, dtype=complex), np.asarray(d)[:, None], loading)
+    D = np.asarray(d)[:, None]
+    X, denom = _mvdr_solve(np.asarray(R, dtype=complex), D, D.conj(), loading)
     return X[:, 0] / denom[0]
 
 
 def grid_powers(R: np.ndarray, D: np.ndarray, beamformer: str = "bartlett",
                 loading: float = 0.0) -> np.ndarray:
     """Per-column beamformer power for a steering matrix D of shape (L, M)."""
+    return _grid_powers(R, D, D.conj(), beamformer, loading)
+
+
+def _grid_powers(R: np.ndarray, D: np.ndarray, D_conj: np.ndarray, beamformer: str,
+                 loading: float) -> np.ndarray:
+    """grid_powers with the conjugate of D supplied by the caller."""
     R = np.asarray(R, dtype=complex)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ValueError("covariance must be square")
@@ -151,33 +159,36 @@ def grid_powers(R: np.ndarray, D: np.ndarray, beamformer: str = "bartlett",
         raise ValueError(f"steering matrix {D.shape} does not match covariance {R.shape}")
     if beamformer == "bartlett":
         L = D.shape[0]
-        vals = np.einsum("lm,lm->m", D.conj(), R @ D).real / (L * L)
+        vals = np.einsum("lm,lm->m", D_conj, R @ D).real / (L * L)
     elif beamformer == "mvdr":
-        vals = 1.0 / _mvdr_solve(R, D, loading)[1]
+        vals = 1.0 / _mvdr_solve(R, D, D_conj, loading)[1]
     else:
         raise ValueError(f"unknown beamformer {beamformer!r}")
     return np.maximum(vals, 0.0)
 
 
 # One entry: (geometry fingerprint, grid, frequency, c) -> read-only (L, M)
-# steering matrix.  A ping-rate scan repeats the same key, and one entry
-# bounds the memory at a single matrix.
+# steering matrix and its read-only conjugate.  A ping-rate scan repeats the
+# same key, and one entry bounds the memory at a single matrix pair.
 _scan_steering_cache: dict = {}
 
 
 def _scan_steering(geometry: ArrayGeometry, grid: GridSpec, frequency_hz: float,
-                   c_mps: float) -> np.ndarray:
-    """Steering matrix over the grid nodes, elevation-major, cached."""
+                   c_mps: float) -> tuple:
+    """Steering matrix over the grid nodes, elevation-major, and its
+    conjugate, cached."""
     key = (geometry_fingerprint(geometry), grid, float(frequency_hz), float(c_mps))
-    D = _scan_steering_cache.get(key)
-    if D is None:
+    pair = _scan_steering_cache.get(key)
+    if pair is None:
         az, el = grid.axes()
         AZ, EL = np.meshgrid(az, el)
         D = steering_matrix(geometry, AZ.ravel(), EL.ravel(), frequency_hz, c_mps)
-        D.flags.writeable = False
+        pair = (D, D.conj())
+        for M in pair:
+            M.flags.writeable = False
         _scan_steering_cache.clear()
-        _scan_steering_cache[key] = D
-    return D
+        _scan_steering_cache[key] = pair
+    return pair
 
 
 def power_map(geometry: ArrayGeometry, R: np.ndarray, grid: GridSpec,
@@ -185,8 +196,8 @@ def power_map(geometry: ArrayGeometry, R: np.ndarray, grid: GridSpec,
               beamformer: str = "bartlett", loading: float = 0.0) -> PowerMap:
     """Scan the chosen beamformer's output power over the grid."""
     az, el = grid.axes()
-    vals = grid_powers(R, _scan_steering(geometry, grid, frequency_hz, c_mps),
-                       beamformer, loading)
+    D, D_conj = _scan_steering(geometry, grid, frequency_hz, c_mps)
+    vals = _grid_powers(R, D, D_conj, beamformer, loading)
     return PowerMap(azimuth_deg=az, elevation_deg=el, power=vals.reshape(el.size, az.size))
 
 
@@ -299,13 +310,23 @@ def doa_peaks(pmap: PowerMap, max_peaks: int = 1, min_separation_deg: float = 0.
 
 
 def save_power_map_csv(pmap: PowerMap, path) -> None:
-    """Rows of azimuth_deg, elevation_deg, power_linear, power_db."""
-    db = pmap.to_db()
+    """Rows of azimuth_deg, elevation_deg, power_linear, power_db.
+
+    Elevation-major, azimuth fastest; az, el and linear power as ``.10g``,
+    dB as ``.4f``, and a LF after every row, the last one included.  The
+    azimuths are formatted once into a row template, and each elevation
+    row is one ``%`` over its (el, power, dB) cells and one write.
+    """
+    row_fmt = "".join(["%.10g,%%s%%.10g,%%.4f\n" % az for az in pmap.azimuth_deg.tolist()])
+    n_az = pmap.azimuth_deg.size
+    cells = [None] * (3 * n_az)
     with open(path, "w", newline="") as fh:
         fh.write("azimuth_deg,elevation_deg,power_linear,power_db\n")
-        for i, el in enumerate(pmap.elevation_deg):
-            for j, az in enumerate(pmap.azimuth_deg):
-                fh.write(f"{az:.10g},{el:.10g},{pmap.power[i, j]:.10g},{db[i, j]:.4f}\n")
+        for el, powers, dbs in zip(pmap.elevation_deg.tolist(), pmap.power, pmap.to_db()):
+            cells[0::3] = ["%.10g," % el] * n_az
+            cells[1::3] = powers.tolist()
+            cells[2::3] = dbs.tolist()
+            fh.write(row_fmt % tuple(cells))
 
 
 def save_power_map_pgm(pmap: PowerMap, path, metadata: dict | None = None) -> None:

@@ -22,6 +22,7 @@ _PCM_HEADER = struct.Struct("<4sIdQ")
 _PCM_PAD = 32 - _PCM_HEADER.size
 
 WINDOWS = ("none", "hann")
+_CSV_BLOCK_ROWS = 4096  # rows per write in save_trace_csv; bounds the strings held
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,15 @@ def load_pcm(path) -> PcmTrace:
 
 
 def save_trace_csv(trace: PcmTrace, path) -> None:
-    """time_s, amplitude rows for plotting."""
+    """time_s, amplitude rows for plotting: ``.9f`` seconds, ``.8g``
+    amplitude, a LF after every row.  Each block of rows is one ``%`` over
+    its interleaved (time, amplitude) cells and one write."""
+    rate = trace.sample_rate_hz
     with open(path, "w", newline="") as fh:
         fh.write("time_s,amplitude\n")
-        for n, v in enumerate(trace.samples):
-            fh.write(f"{n / trace.sample_rate_hz:.9f},{v:.8g}\n")
+        for start in range(0, len(trace), _CSV_BLOCK_ROWS):
+            block = trace.samples[start:start + _CSV_BLOCK_ROWS]
+            cells = np.empty(2 * block.size)
+            cells[0::2] = np.arange(start, start + block.size) / rate
+            cells[1::2] = block
+            fh.write(("%.9f,%.8g\n" * block.size) % tuple(cells.tolist()))

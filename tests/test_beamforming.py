@@ -207,17 +207,20 @@ class TestPowerMap:
             AZ, EL = np.meshgrid(az, el)
             D = steering_matrix(geom, AZ.ravel(), EL.ravel(), freq, c)
             cov = R[geom.n_elements]
-            for bf in ("bartlett", "mvdr"):
-                pmap = power_map(geom, cov, grid, freq, c, beamformer=bf)
-                assert np.array_equal(pmap.power.ravel(), grid_powers(cov, D, bf))
+            for bf, loading in (("bartlett", 0.0), ("mvdr", 0.0), ("mvdr", 1e-3)):
+                pmap = power_map(geom, cov, grid, freq, c, beamformer=bf, loading=loading)
+                assert np.array_equal(pmap.power.ravel(), grid_powers(cov, D, bf, loading))
 
     def test_cached_steering_is_shared_and_read_only(self):
         grid = GridSpec(az_step_deg=5.0, el_step_deg=5.0)
-        D = _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C)
-        assert _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C) is D
-        assert not D.flags.writeable
-        with pytest.raises(ValueError):
-            D[0, 0] = 0.0
+        D, D_conj = _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C)
+        again = _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C)
+        assert again[0] is D and again[1] is D_conj
+        assert np.array_equal(D_conj, D.conj())
+        for M in (D, D_conj):
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0, 0] = 0.0
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError, match="az_step"):
@@ -310,7 +313,43 @@ class TestDoaPeaks:
         assert doa_peaks(pmap, max_peaks=4, min_separation_deg=1.0) == []
 
 
+def per_cell_csv(pmap, path):
+    """Reference power-map writer: one formatted write per grid cell."""
+    db = pmap.to_db()
+    with open(path, "w", newline="") as fh:
+        fh.write("azimuth_deg,elevation_deg,power_linear,power_db\n")
+        for i, el in enumerate(pmap.elevation_deg):
+            for j, az in enumerate(pmap.azimuth_deg):
+                fh.write(f"{az:.10g},{el:.10g},{pmap.power[i, j]:.10g},{db[i, j]:.4f}\n")
+
+
+def assert_same_csv_bytes(pmap, tmp_path):
+    save_power_map_csv(pmap, tmp_path / "fast.csv")
+    per_cell_csv(pmap, tmp_path / "ref.csv")
+    blob = (tmp_path / "fast.csv").read_bytes()
+    assert blob == (tmp_path / "ref.csv").read_bytes()
+    assert blob.count(b"\n") == pmap.elevation_deg.size * pmap.azimuth_deg.size + 1
+    assert blob.endswith(b"\n")
+
+
 class TestExports:
+    @pytest.mark.parametrize("bf, loading", [("bartlett", 0.0), ("mvdr", 1e-3)])
+    def test_stock_psf_csv_bytes_match_per_cell_writer(self, tmp_path, geometry, bf, loading):
+        pmap, _ = psf(geometry, Direction(-37, 12), 1.0, 0.01, GridSpec(), FREQ, C,
+                      beamformer=bf, loading=loading)
+        assert_same_csv_bytes(pmap, tmp_path)
+
+    def test_edge_value_csv_bytes_match_per_cell_writer(self, tmp_path):
+        az = -3.0 + 0.1 * np.arange(12)  # 0.1 deg step, negative, inexact tails
+        el = np.array([-89.5, -0.1, 0.0, 0.1, 33.3])
+        power = np.zeros((el.size, az.size))
+        power[0, :6] = [1.0, 1e-8, 1e-12, 5e-324, 0.5, 1.0 / 3.0]  # peak, -80 dB, below
+        power[1, :4] = [0.1, 0.123456789012345, 2e-8, 9.999999e-9]
+        power[4, -1] = 0.999999999999
+        pmap = PowerMap(azimuth_deg=az, elevation_deg=el, power=power)
+        assert (pmap.to_db() == -80.0).sum() > 1
+        assert_same_csv_bytes(pmap, tmp_path)
+
     def test_csv_and_pgm(self, tmp_path, geometry):
         R = covariance_analytic(geometry, single_source_scene(Direction(0, 0)), FREQ, C)
         grid = GridSpec(az_start_deg=-10, az_stop_deg=10, el_start_deg=-10, el_stop_deg=10)

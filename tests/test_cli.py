@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from sonarray.cli import Config, main
+from sonarray.beamforming import GridSpec
+from sonarray.cli import DEFAULTS, Config, main
 from sonarray.framing import Frame, encode_frame
 from sonarray.geometry import default_circular_array, geometry_fingerprint
 from sonarray.waveform import load_pcm
@@ -65,6 +66,26 @@ class TestPsfCommand:
         for name in ("psf_az10_el5_bartlett.csv", "psf_az10_el5_mvdr.pgm"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+    def test_stock_run_passes_the_benchmark_psf_check(self, tmp_path):
+        # per map, as perfbench's psf_sweep checks: every CSV row ends in LF,
+        # and the metrics' peak sits on the source node
+        assert run(["psf", "--out", str(tmp_path)]) == 0
+        az, el = GridSpec().axes()
+        sources = [tuple(float(v) for v in pair.split(","))
+                   for pair in DEFAULTS["psf.sources"].split(";")]
+        beamformers = DEFAULTS["psf.beamformers"].split(",")
+        assert len(list(tmp_path.glob("*.csv"))) == len(sources) * len(beamformers)
+        for src_az, src_el in sources:
+            for bf in beamformers:
+                stem = f"psf_az{src_az:g}_el{src_el:g}_{bf}"
+                blob = (tmp_path / f"{stem}.csv").read_bytes()
+                assert blob.count(b"\n") == az.size * el.size + 1
+                assert blob.endswith(b"\n")
+                metrics = dict(line.split(" = ") for line in
+                               (tmp_path / f"{stem}_metrics.txt").read_text().splitlines())
+                assert float(metrics["peak_azimuth_deg"]) == src_az
+                assert float(metrics["peak_elevation_deg"]) == src_el
 
     def test_dotted_flag_override(self, tmp_path):
         rc = run(["psf", "--out", str(tmp_path), "--psf.sources=0,0",

@@ -222,3 +222,20 @@ class TestPcmFiles:
         assert lines[0] == "time_s,amplitude"
         assert len(lines) == 4
         assert lines[1].startswith("0.000000000,")
+
+    def test_csv_bytes_match_per_sample_writer(self, tmp_path):
+        def per_sample_csv(trace, path):
+            with open(path, "w", newline="") as fh:
+                fh.write("time_s,amplitude\n")
+                for n, v in enumerate(trace.samples):
+                    fh.write(f"{n / trace.sample_rate_hz:.9f},{v:.8g}\n")
+
+        edge = np.array([0.0, -0.0, 1e-300, -5e-324, 1e300, 0.5, -0.25, 1.0 / 3.0])
+        noise = np.random.default_rng(5).standard_normal(9_000) * 1e-3  # > one write block
+        for trace in (generate_chirp(ChirpSpec()), PcmTrace(edge, 1000),
+                      PcmTrace(noise, 278_125.0), PcmTrace(np.array([]), 7.0)):
+            save_trace_csv(trace, tmp_path / "fast.csv")
+            per_sample_csv(trace, tmp_path / "ref.csv")
+            blob = (tmp_path / "fast.csv").read_bytes()
+            assert blob == (tmp_path / "ref.csv").read_bytes()
+            assert blob.count(b"\n") == len(trace) + 1
