@@ -55,6 +55,9 @@ class GridSpec:
             start = getattr(self, f"{name}_start_deg")
             stop = getattr(self, f"{name}_stop_deg")
             step = getattr(self, f"{name}_step_deg")
+            for part, value in (("start", start), ("stop", stop), ("step", step)):
+                if not math.isfinite(value):
+                    raise ValueError(f"grid.{name}_{part} must be finite, got {value!r}")
             if not step > 0:
                 raise ValueError(f"grid.{name}_step must be > 0")
             if stop < start:
@@ -117,32 +120,6 @@ def _loaded(R: np.ndarray, loading: float) -> np.ndarray:
     return R + loading * (np.trace(R).real / R.shape[0]) * np.eye(R.shape[0])
 
 
-def _factorize(R_loaded: np.ndarray):
-    try:
-        return scipy.linalg.cho_factor(R_loaded)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SingularMatrixError(
-            "covariance (plus loading) is not positive definite; "
-            "increase the diagonal loading fraction") from exc
-
-
-def _mvdr_solve(R: np.ndarray, D: np.ndarray, D_conj: np.ndarray, loading: float) -> tuple:
-    """X = R_loaded^-1 D and the per-column d^H R_loaded^-1 d, checked > 0."""
-    cho = _factorize(_loaded(R, loading))
-    X = scipy.linalg.cho_solve(cho, D, check_finite=False)
-    denom = np.einsum("lm,lm->m", D_conj, X).real
-    if not np.all(np.isfinite(denom)) or denom.min() <= 0:
-        raise SingularMatrixError("d^H R^-1 d is not positive; increase loading")
-    return X, denom
-
-
-def mvdr_weights(R: np.ndarray, d: np.ndarray, loading: float = 0.0) -> np.ndarray:
-    """Minimum-variance weights with unit gain toward the steering vector d."""
-    D = np.asarray(d)[:, None]
-    X, denom = _mvdr_solve(np.asarray(R, dtype=complex), D, D.conj(), loading)
-    return X[:, 0] / denom[0]
-
-
 def grid_powers(R: np.ndarray, D: np.ndarray, beamformer: str = "bartlett",
                 loading: float = 0.0) -> np.ndarray:
     """Per-column beamformer power for a steering matrix D of shape (L, M)."""
@@ -161,7 +138,18 @@ def _grid_powers(R: np.ndarray, D: np.ndarray, D_conj: np.ndarray, beamformer: s
         L = D.shape[0]
         vals = np.einsum("lm,lm->m", D_conj, R @ D).real / (L * L)
     elif beamformer == "mvdr":
-        vals = 1.0 / _mvdr_solve(R, D, D_conj, loading)[1]
+        R_loaded = _loaded(R, loading)
+        try:
+            cho = scipy.linalg.cho_factor(R_loaded)
+        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+            raise SingularMatrixError(
+                "covariance (plus loading) is not positive definite; "
+                "increase the diagonal loading fraction") from exc
+        X = scipy.linalg.cho_solve(cho, D, check_finite=False)
+        denom = np.einsum("lm,lm->m", D_conj, X).real
+        if not np.all(np.isfinite(denom)) or denom.min() <= 0:
+            raise SingularMatrixError("d^H R^-1 d is not positive; increase loading")
+        vals = 1.0 / denom
     else:
         raise ValueError(f"unknown beamformer {beamformer!r}")
     return np.maximum(vals, 0.0)

@@ -81,8 +81,8 @@ class Config:
             value = float(raw)
         except ValueError:
             raise ConfigError(key, f"not a number: {raw!r}") from None
-        if positive and not value > 0:
-            raise ConfigError(key, f"must be > 0, got {raw}")
+        if positive and not 0 < value < math.inf:
+            raise ConfigError(key, f"must be finite and > 0, got {raw}")
         if minimum is not None and not minimum <= value < math.inf:
             raise ConfigError(key, f"must be finite and >= {minimum:g}, got {raw}")
         return value
@@ -368,6 +368,10 @@ def cmd_decode(args, extra) -> int:
                 break
             for event in parser.feed(chunk):
                 if isinstance(event, framing.Frame):
+                    if channel_bits and event.channel_count != len(channel_bits):
+                        raise SonarrayError(
+                            f"frame {event.sequence} has {event.channel_count} channels, "
+                            f"earlier frames {len(channel_bits)}")
                     bits = event.channel_bits()
                     for ch in range(event.channel_count):
                         channel_bits.setdefault(ch, []).append(bits[ch])

@@ -20,7 +20,7 @@ class ConfigError(SonarrayError):
 class SingularMatrixError(SonarrayError):
     """A covariance (plus loading) could not be factorized.
 
-    Raised by the MVDR solvers; the usual fix is a nonzero diagonal
+    Raised by the MVDR beamformer; the usual fix is a nonzero diagonal
     loading fraction.
     """
 

@@ -1,4 +1,4 @@
-"""Sensor layout and far-field narrowband steering vectors.
+"""Sensor layout and far-field narrowband steering matrices.
 
 Conventions used throughout the package:
 
@@ -7,8 +7,8 @@ Conventions used throughout the package:
   ``u = (cos(el)*sin(az), sin(el), cos(el)*cos(az))``, so boresight
   (0, 0) is the array normal +z.
 * Steering phases are ``+j * 2*pi*f * (p . u) / c`` relative to the
-  reference point (phase advance toward the source).  Snapshot synthesis
-  and capture emulation share the same sign.
+  reference point (phase advance toward the source).  Capture emulation
+  shares the same sign.
 """
 
 from __future__ import annotations
@@ -70,24 +70,6 @@ class ArrayGeometry:
         return self.elements.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SteeringVector:
-    """Unit-modulus array response for one (frequency, direction) pair."""
-
-    entries: np.ndarray  # complex (L,)
-    frequency_hz: float
-    direction: Direction
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=complex)
-        if entries.ndim != 1 or entries.size < 1:
-            raise ValueError("entries must be a non-empty complex vector")
-        if np.max(np.abs(np.abs(entries) - 1.0)) > 1e-12:
-            raise ValueError("steering entries must have unit modulus")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-
 def build_uniform_circular_array(n_elements: int, diameter_m: float) -> ArrayGeometry:
     """Place ``n_elements`` uniformly on a circle in the z = 0 plane.
 
@@ -142,15 +124,6 @@ def steering_matrix(geometry: ArrayGeometry, azimuth_deg, elevation_deg,
     p = geometry.elements - geometry.reference_point
     phase = (2.0 * np.pi * frequency_hz / c_mps) * (p @ u.T)
     return np.exp(1j * phase)
-
-
-def steering_vector(geometry: ArrayGeometry, direction: Direction,
-                    frequency_hz: float, c_mps: float = SPEED_OF_SOUND_MPS) -> SteeringVector:
-    """Far-field plane-wave steering vector for a single direction."""
-    entries = steering_matrix(geometry, direction.azimuth_deg, direction.elevation_deg,
-                              frequency_hz, c_mps)[:, 0]
-    return SteeringVector(entries=entries, frequency_hz=float(frequency_hz),
-                          direction=direction)
 
 
 def load_geometry_csv(path) -> ArrayGeometry:

@@ -1,14 +1,13 @@
-"""Narrowband scene models: analytic covariances and synthetic snapshots.
+"""Narrowband scene models, snapshot blocks and sample covariances.
 
 A :class:`Scene` is one desired point source, zero or more uncorrelated
 interferers, and spatially white sensor noise.  The analytic covariance is
 
     R = sd2 * d d^H  +  sum_k sk2 * g_k g_k^H  +  sv2 * I
 
-with d and g_k steering vectors of the scene's directions.  Snapshot
-synthesis draws every signal as an independent circular complex Gaussian
-of the matching power, which reproduces that covariance exactly in
-expectation.
+with d and g_k steering vectors of the scene's directions.  A
+:class:`SnapshotBlock` holds complex-envelope snapshots (demodulated
+captures), and :func:`sample_covariance` estimates R from them.
 """
 
 from __future__ import annotations
@@ -64,58 +63,23 @@ class SnapshotBlock:
         object.__setattr__(self, "samples", samples)
 
     @property
-    def n_channels(self) -> int:
-        return self.samples.shape[0]
-
-    @property
     def n_snapshots(self) -> int:
         return self.samples.shape[1]
-
-
-def _scene_steering(geometry, scene, frequency_hz, c_mps):
-    directions = [scene.desired.direction] + [s.direction for s in scene.interferers]
-    az = [d.azimuth_deg for d in directions]
-    el = [d.elevation_deg for d in directions]
-    D = steering_matrix(geometry, az, el, frequency_hz, c_mps)
-    return D[:, 0], D[:, 1:]
 
 
 def covariance_analytic(geometry: ArrayGeometry, scene: Scene, frequency_hz: float,
                         c_mps: float = SPEED_OF_SOUND_MPS) -> np.ndarray:
     """Exact second-order covariance of the scene at one frequency."""
-    d, G = _scene_steering(geometry, scene, frequency_hz, c_mps)
-    L = geometry.n_elements
+    directions = [scene.desired.direction] + [s.direction for s in scene.interferers]
+    D = steering_matrix(geometry, [d.azimuth_deg for d in directions],
+                        [d.elevation_deg for d in directions], frequency_hz, c_mps)
+    d = D[:, 0]
     R = scene.desired.power * np.outer(d, d.conj())
-    for k, src in enumerate(scene.interferers):
-        g = G[:, k]
+    for k, src in enumerate(scene.interferers, start=1):
+        g = D[:, k]
         R = R + src.power * np.outer(g, g.conj())
-    R = R + scene.noise_power * np.eye(L)
+    R = R + scene.noise_power * np.eye(geometry.n_elements)
     return R
-
-
-def synthesize_snapshots(geometry: ArrayGeometry, scene: Scene, frequency_hz: float,
-                         c_mps: float = SPEED_OF_SOUND_MPS, n_snapshots: int = 1,
-                         rng_seed: int = 0, *, sample_rate_hz: float = 1.0) -> SnapshotBlock:
-    """Draw N independent snapshots of the scene.
-
-    Draw order is fixed (desired, interferers in order, then noise) so a
-    seed pins the exact block.
-    """
-    if n_snapshots < 1:
-        raise ValueError("n_snapshots must be >= 1")
-    d, G = _scene_steering(geometry, scene, frequency_hz, c_mps)
-    L = geometry.n_elements
-    rng = np.random.default_rng(rng_seed)
-
-    def cgauss(power, shape):
-        scale = np.sqrt(power / 2.0)
-        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-    y = d[:, None] * cgauss(scene.desired.power, n_snapshots)[None, :]
-    for k, src in enumerate(scene.interferers):
-        y = y + G[:, k][:, None] * cgauss(src.power, n_snapshots)[None, :]
-    y = y + cgauss(scene.noise_power, (L, n_snapshots))
-    return SnapshotBlock(samples=y, sample_rate_hz=sample_rate_hz)
 
 
 def sample_covariance(block: SnapshotBlock) -> np.ndarray:

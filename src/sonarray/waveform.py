@@ -174,23 +174,6 @@ def save_pcm(trace: PcmTrace, path) -> None:
         fh.write(trace.samples.astype("<f4").tobytes())
 
 
-def load_pcm(path) -> PcmTrace:
-    with open(path, "rb") as fh:
-        raw = fh.read(32)
-        if len(raw) < 32:
-            raise ValueError(f"{path}: truncated PCM header")
-        magic, version, rate, length = _PCM_HEADER.unpack(raw[:_PCM_HEADER.size])
-        if magic != PCM_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != 1:
-            raise ValueError(f"{path}: unsupported version {version}")
-        body = fh.read(4 * length)
-    if len(body) != 4 * length:
-        raise ValueError(f"{path}: truncated PCM body")
-    return PcmTrace(samples=np.frombuffer(body, dtype="<f4").astype(float),
-                    sample_rate_hz=rate)
-
-
 def save_trace_csv(trace: PcmTrace, path) -> None:
     """time_s, amplitude rows for plotting: ``.9f`` seconds, ``.8g``
     amplitude, a LF after every row.  Each block of rows is one ``%`` over

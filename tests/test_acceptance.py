@@ -12,17 +12,15 @@ import scipy.signal
 
 from sonarray.acquisition import (CHANNEL_COUNT, DECIMATION_FACTOR,
                                   PDM_RATE_HZ, USB_LINK_BUDGET_BPS,
-                                  ReflectorTarget,
-                                  decimation_settling_samples,
+                                  ReflectorTarget, _compensator_taps,
                                   demodulate_capture, echo_geometry,
                                   pdm_decimate, pdm_modulate,
                                   synthesize_capture)
-from sonarray.beamforming import (GridSpec, doa_peaks, power_map, psf,
-                                  mvdr_weights)
+from sonarray.beamforming import GridSpec, doa_peaks, grid_powers, power_map, psf
 from sonarray.framing import (CorruptionEvent, Frame, StreamParser,
                               encode_frame, parse_stream)
 from sonarray.geometry import (Direction, default_circular_array,
-                               steering_matrix, steering_vector)
+                               steering_matrix)
 from sonarray.signalmodel import (PointSource, Scene, covariance_analytic,
                                   sample_covariance)
 from sonarray.waveform import (ChirpSpec, PcmTrace, estimate_range,
@@ -101,12 +99,11 @@ def test_criterion_2_mvdr_closed_form(geometry):
         look = Direction(0.0, 0.0)
         scene = Scene(desired=PointSource(look, sd2), noise_power=sv2)
         R = covariance_analytic(geometry, scene, FREQ, C)
-        sv = steering_vector(geometry, look, FREQ, C)
-        x = np.linalg.solve(R, sv.entries)
-        got = 1.0 / np.vdot(sv.entries, x).real
+        d = steering_matrix(geometry, look.azimuth_deg, look.elevation_deg, FREQ, C)
+        x = np.linalg.solve(R, d[:, 0])
+        got = 1.0 / np.vdot(d[:, 0], x).real
         assert abs(got - expected) <= 1e-9 * expected
-        from sonarray.beamforming import grid_powers
-        got = grid_powers(R, sv.entries[:, None], "mvdr", loading=0.0)[0]
+        got = grid_powers(R, d, "mvdr", loading=0.0)[0]
         assert abs(got - expected) <= 1e-9 * expected
 
 
@@ -127,12 +124,6 @@ def test_criterion_3_dominance_and_distortionless(geometry, grid, placement_scan
             W = X / delta
             distortion = np.abs(np.einsum("lm,lm->m", W.conj(), D) - 1.0)
             assert distortion.max() <= 1e-9
-            # spot-check the public weight op against the vectorized path
-            for idx in range(0, D.shape[1], 4999):
-                direction = Direction(float(AZ.ravel()[idx]), float(EL.ravel()[idx]))
-                sv = steering_vector(geometry, direction, FREQ, C)
-                w = mvdr_weights(R, sv.entries, loading=0.0)
-                assert abs(np.vdot(w, sv.entries) - 1.0) <= 1e-9
 
 
 def test_criterion_4_range_experiment(geometry):
@@ -161,7 +152,9 @@ def test_criterion_5_acquisition_round_trip():
         x = 0.5 * np.sin(2 * np.pi * 40_000.0 * t)
         stream = pdm_modulate(PcmTrace(x, FS), PDM_RATE_HZ, rng_seed=3)
         out = pdm_decimate(stream, DECIMATION_FACTOR)
-        settle = decimation_settling_samples()
+        # CIC (4 output samples) plus compensator FIR transients
+        settle = 4 + len(_compensator_taps(PDM_RATE_HZ / DECIMATION_FACTOR,
+                                           DECIMATION_FACTOR))
         y = out.samples[settle:-settle]
         ref = x[settle:-settle]
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ from sonarray.acquisition import (CHANNEL_COUNT, DECIMATION_FACTOR,
                                   DEMOD_CUTOFF_HZ, DEMOD_NUMTAPS, PDM_RATE_HZ,
                                   USB_LINK_BUDGET_BPS, MultichannelCapture,
                                   PdmStream, ReflectorTarget, _cic_magnitude,
-                                  _compensator_taps,
-                                  decimation_settling_samples,
-                                  demodulate_capture, echo_geometry,
-                                  load_pdm, pdm_decimate, pdm_modulate,
+                                  _compensator_taps, demodulate_capture,
+                                  echo_geometry, pdm_decimate, pdm_modulate,
                                   save_pdm, synthesize_capture)
 from sonarray.geometry import Direction, default_circular_array
 from sonarray.waveform import ChirpSpec, PcmTrace, generate_chirp
 
 FS = PDM_RATE_HZ / DECIMATION_FACTOR
+
+
+def settling_samples(factor=DECIMATION_FACTOR):
+    """Decimator outputs to trim before the CIC (4 samples) and the
+    compensator FIR are in steady state."""
+    return 4 + len(_compensator_taps(PDM_RATE_HZ / factor, factor))
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +147,7 @@ class TestPdmDecimate:
         stream = PdmStream(data=bytes([0xFF]) * 25_000, n_bits=200_000,
                            rate_hz=PDM_RATE_HZ)
         out = pdm_decimate(stream)
-        settle = decimation_settling_samples()
+        settle = settling_samples()
         steady = out.samples[settle:-settle]
         assert np.max(np.abs(steady - 1.0)) <= 1e-3
         assert out.sample_rate_hz == FS
@@ -151,7 +156,7 @@ class TestPdmDecimate:
         stream = PdmStream(data=bytes([0b10101010]) * 25_000, n_bits=200_000,
                            rate_hz=PDM_RATE_HZ)
         out = pdm_decimate(stream)
-        settle = decimation_settling_samples()
+        settle = settling_samples()
         assert np.max(np.abs(out.samples[settle:-settle])) <= 1e-3
 
     def test_short_stream_rejected(self):
@@ -201,7 +206,7 @@ class TestPdmDecimate:
         stream = PdmStream(data=bytes([0xFF]) * (n // 8), n_bits=n,
                            rate_hz=PDM_RATE_HZ)
         out = pdm_decimate(stream, factor=factor)
-        settle = decimation_settling_samples(PDM_RATE_HZ, factor)
+        settle = settling_samples(factor)
         steady = out.samples[settle:-settle]
         assert np.max(np.abs(steady - 1.0)) <= 1e-3
         assert out.sample_rate_hz == PDM_RATE_HZ / factor
@@ -222,7 +227,7 @@ class TestPdmDecimate:
         t = np.arange(n) / FS
         x = 0.5 * np.sin(2 * np.pi * 40_000.0 * t)
         out = pdm_decimate(pdm_modulate(PcmTrace(x, FS), rng_seed=3))
-        settle = decimation_settling_samples()
+        settle = settling_samples()
         y = out.samples[settle:-settle]
         ref = x[settle:-settle]
         lags = scipy.signal.correlation_lags(y.size, ref.size)
@@ -266,7 +271,7 @@ class TestDemodulation:
         delays, _ = echo_geometry(geometry, target)
         start = int(round(delays[0] * FS))
         block = demodulate_capture(cap, 40_000.0, gate=(start, start + len(template)))
-        assert block.n_channels == 16
+        assert block.samples.shape[0] == 16
         assert block.n_snapshots == len(template)
         # at boresight every channel sees the same phase: snapshots align
         mid = block.samples[:, block.n_snapshots // 2]
@@ -308,12 +313,12 @@ class TestFileFormats:
                               rng_seed=6, channel=3)
         path = tmp_path / "ch03.pdm"
         save_pdm(stream, path)
-        loaded = load_pdm(path)
-        assert loaded.data == stream.data
-        assert loaded.n_bits == stream.n_bits
-        assert loaded.channel == 3
-        assert loaded.rate_hz == stream.rate_hz
-        assert path.stat().st_size == 24 + len(stream.data)
+        # documented layout: magic, version u16, rate f64, channel u16,
+        # bit count u64, little-endian, then the packed bits
+        blob = path.read_bytes()
+        assert struct.unpack("<4sHdHQ", blob[:24]) == (b"PDM1", 1, stream.rate_hz, 3,
+                                                      stream.n_bits)
+        assert blob[24:] == stream.data
 
     def test_capture_invariants(self):
         with pytest.raises(ValueError):

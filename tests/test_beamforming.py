@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from sonarray.beamforming import (GridSpec, PowerMap, _scan_steering, doa_peaks,
-                                  grid_powers, mvdr_weights, power_map, psf,
+                                  grid_powers, power_map, psf,
                                   psf_metrics, save_power_map_csv,
                                   save_power_map_pgm)
 from sonarray.errors import NoPeakError, SingularMatrixError
 from sonarray.geometry import (Direction, build_uniform_circular_array,
-                               default_circular_array, steering_matrix,
-                               steering_vector)
+                               default_circular_array, steering_matrix)
 from sonarray.signalmodel import PointSource, Scene, covariance_analytic
 
 FREQ = 40_000.0
@@ -27,9 +26,15 @@ def single_source_scene(direction, sd2=1.0, sv2=0.1):
     return Scene(desired=PointSource(direction, sd2), noise_power=sv2)
 
 
-def look_power(R, sv, kind, loading=0.0):
+def look_vector(geometry, direction):
+    """Single-look steering vector: one column of steering_matrix."""
+    return steering_matrix(geometry, direction.azimuth_deg, direction.elevation_deg,
+                           FREQ, C)[:, 0]
+
+
+def look_power(R, d, kind, loading=0.0):
     """Beamformer power toward one steering vector, via the grid path."""
-    return grid_powers(R, sv.entries[:, None], kind, loading)[0]
+    return grid_powers(R, d[:, None], kind, loading)[0]
 
 
 def mvdr_closed_form(rho, sd2, sv2, n):
@@ -43,53 +48,45 @@ def mvdr_closed_form(rho, sd2, sv2, n):
 class TestBartlett:
     def test_unit_dyad_at_source(self, geometry):
         look = Direction(0, 0)
-        sv = steering_vector(geometry, look, FREQ, C)
+        sv = look_vector(geometry, look)
         R = covariance_analytic(geometry, single_source_scene(look, 1.0, 0.0), FREQ, C)
         assert abs(look_power(R, sv, "bartlett") - 1.0) < 1e-12
 
     def test_white_noise_floor(self, geometry):
-        sv = steering_vector(geometry, Direction(17, -4), FREQ, C)
+        sv = look_vector(geometry, Direction(17, -4))
         R = 0.1 * np.eye(L)
         assert abs(look_power(R, sv, "bartlett") - 0.1 / L) < 1e-15
 
     def test_source_plus_noise_adds(self, geometry):
         look = Direction(0, 0)
-        sv = steering_vector(geometry, look, FREQ, C)
+        sv = look_vector(geometry, look)
         R = covariance_analytic(geometry, single_source_scene(look), FREQ, C)
         assert abs(look_power(R, sv, "bartlett") - (1.0 + 0.1 / L)) < 1e-12
 
     def test_dimension_mismatch(self, geometry):
-        sv = steering_vector(geometry, Direction(0, 0), FREQ, C)
+        sv = look_vector(geometry, Direction(0, 0))
         for kind in ("bartlett", "mvdr"):
             with pytest.raises(ValueError):
                 look_power(np.eye(4), sv, kind)
 
 
 class TestMvdr:
-    def test_identity_reduces_to_bartlett_weights(self, geometry):
-        sv = steering_vector(geometry, Direction(33, 12), FREQ, C)
-        w = mvdr_weights(np.eye(L, dtype=complex), sv.entries)
-        assert np.max(np.abs(w - sv.entries / L)) < 1e-12
-
     def test_closed_form_at_source(self, geometry):
         look = Direction(0, 0)
-        sv = steering_vector(geometry, look, FREQ, C)
+        sv = look_vector(geometry, look)
         R = covariance_analytic(geometry, single_source_scene(look), FREQ, C)
         expected = 1.0 + 0.1 / L  # rho = 1 in the inversion-lemma oracle
         assert abs(mvdr_closed_form(1.0, 1.0, 0.1, L) - expected) < 1e-15
         assert abs(look_power(R, sv, "mvdr") - expected) <= 1e-9 * expected
-        w = mvdr_weights(R, sv.entries)
-        power_via_weights = np.vdot(w, R @ w).real
-        assert abs(power_via_weights - look_power(R, sv, "mvdr")) <= 1e-9 * expected
 
     def test_zero_matrix_is_singular(self, geometry):
-        sv = steering_vector(geometry, Direction(0, 0), FREQ, C)
+        sv = look_vector(geometry, Direction(0, 0))
         with pytest.raises(SingularMatrixError):
-            mvdr_weights(np.zeros((L, L), dtype=complex), sv.entries, loading=0.0)
+            look_power(np.zeros((L, L), dtype=complex), sv, "mvdr", loading=0.0)
 
     def test_loading_rescues_singular_covariance(self, geometry):
         look = Direction(0, 0)
-        sv = steering_vector(geometry, look, FREQ, C)
+        sv = look_vector(geometry, look)
         R = covariance_analytic(geometry, single_source_scene(look, 1.0, 0.0), FREQ, C)
         with pytest.raises(SingularMatrixError):
             look_power(R, sv, "mvdr", loading=0.0)
@@ -98,38 +95,29 @@ class TestMvdr:
     def test_white_noise_power_is_flat(self, geometry):
         R = 0.25 * np.eye(L)
         for az, el in [(0, 0), (41, 7), (-60, -30)]:
-            sv = steering_vector(geometry, Direction(az, el), FREQ, C)
+            sv = look_vector(geometry, Direction(az, el))
             assert abs(look_power(R, sv, "mvdr") - 0.25 / L) < 1e-12
 
     def test_closed_form_across_directions(self, geometry):
         source = Direction(20, 0)
-        d_s = steering_vector(geometry, source, FREQ, C).entries
+        d_s = look_vector(geometry, source)
         R = covariance_analytic(geometry, single_source_scene(source, 1.0, 0.1), FREQ, C)
         for az, el in [(20, 0), (0, 0), (-45, -15), (60, 25), (25, 0)]:
-            sv = steering_vector(geometry, Direction(az, el), FREQ, C)
-            rho = abs(np.vdot(sv.entries, d_s)) ** 2 / L ** 2
+            sv = look_vector(geometry, Direction(az, el))
+            rho = abs(np.vdot(sv, d_s)) ** 2 / L ** 2
             expected = mvdr_closed_form(rho, 1.0, 0.1, L)
             assert abs(look_power(R, sv, "mvdr") - expected) <= 1e-9 * expected
-
-    def test_distortionless_constraint(self, geometry):
-        rng = np.random.default_rng(8)
-        A = rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L))
-        R = A @ A.conj().T / L + 0.01 * np.eye(L)
-        for az, el in [(0, 0), (30, 10), (-75, 40)]:
-            sv = steering_vector(geometry, Direction(az, el), FREQ, C)
-            w = mvdr_weights(R, sv.entries)
-            assert abs(np.vdot(w, sv.entries) - 1.0) <= 1e-9
 
     def test_mvdr_never_exceeds_bartlett(self, geometry):
         source = Direction(-10, 5)
         R = covariance_analytic(geometry, single_source_scene(source, 2.0, 0.05), FREQ, C)
         for az, el in [(-10, 5), (0, 0), (44, -3), (-80, 60)]:
-            sv = steering_vector(geometry, Direction(az, el), FREQ, C)
+            sv = look_vector(geometry, Direction(az, el))
             assert look_power(R, sv, "mvdr") <= look_power(R, sv, "bartlett") + 1e-12
 
     def test_scale_equivariance(self, geometry):
         source = Direction(15, -20)
-        sv = steering_vector(geometry, Direction(10, 0), FREQ, C)
+        sv = look_vector(geometry, Direction(10, 0))
         R = covariance_analytic(geometry, single_source_scene(source), FREQ, C)
         alpha = 3.7
         for kind in ("bartlett", "mvdr"):
@@ -137,21 +125,21 @@ class TestMvdr:
                               alpha * look_power(R, sv, kind), rtol=1e-12)
 
     def test_interference_null_depth(self, geometry):
-        # beam steered at the desired source: the adaptive pattern puts
-        # at least 10 dB more rejection on the interferer than Bartlett
+        # beam steered at the desired source: adding the interferer raises
+        # the adaptive output at least 10 dB less than the Bartlett output
         desired = Direction(0, 0)
         jammer = Direction(30, 0)
-        scene = Scene(desired=PointSource(desired, 1.0),
-                      interferers=(PointSource(jammer, 1.0),),
-                      noise_power=0.01)  # interferer power = 100 * noise
-        R = covariance_analytic(geometry, scene, FREQ, C)
-        sv_d = steering_vector(geometry, desired, FREQ, C)
-        g = steering_vector(geometry, jammer, FREQ, C).entries
-        w_bartlett = sv_d.entries / L
-        w_mvdr = mvdr_weights(R, sv_d.entries)
-        rejection_gain = (abs(np.vdot(w_bartlett, g)) ** 2
-                          / abs(np.vdot(w_mvdr, g)) ** 2)
-        assert 10 * math.log10(rejection_gain) >= 10.0
+        quiet = Scene(desired=PointSource(desired, 1.0), noise_power=0.01)
+        jammed = Scene(desired=PointSource(desired, 1.0),
+                       interferers=(PointSource(jammer, 1.0),),
+                       noise_power=0.01)  # interferer power = 100 * noise
+        sv_d = look_vector(geometry, desired)
+        R_quiet = covariance_analytic(geometry, quiet, FREQ, C)
+        R_jammed = covariance_analytic(geometry, jammed, FREQ, C)
+        leak = {kind: look_power(R_jammed, sv_d, kind) - look_power(R_quiet, sv_d, kind)
+                for kind in ("bartlett", "mvdr")}
+        assert leak["mvdr"] > 0
+        assert 10 * math.log10(leak["bartlett"] / leak["mvdr"]) >= 10.0
 
 
 class TestPowerMap:

@@ -1,4 +1,5 @@
 import io
+import struct
 import sys
 
 import numpy as np
@@ -8,11 +9,21 @@ from sonarray.beamforming import GridSpec
 from sonarray.cli import DEFAULTS, Config, main
 from sonarray.framing import Frame, encode_frame
 from sonarray.geometry import default_circular_array, geometry_fingerprint
-from sonarray.waveform import load_pcm
 
 
 def run(argv):
     return main(argv)
+
+
+def read_pcm(path):
+    """(sample rate, samples) of a .pcm file, checked against the documented
+    layout: magic, version u32, rate f64, length u64, zero pad to 32 bytes,
+    little-endian, then float32 samples."""
+    blob = path.read_bytes()
+    magic, version, rate, length = struct.unpack("<4sIdQ", blob[:24])
+    assert (magic, version, blob[24:32]) == (b"PCM1", 1, bytes(8))
+    assert len(blob) == 32 + 4 * length
+    return rate, np.frombuffer(blob[32:], dtype="<f4")
 
 
 def make_stream(n_frames, spc=128, cc=16, corrupt=None):
@@ -165,8 +176,9 @@ class TestChirpCommand:
     def test_writes_pcm_and_csv(self, tmp_path):
         rc = run(["chirp", "--out", str(tmp_path)])
         assert rc == 0
-        trace = load_pcm(tmp_path / "chirp.pcm")
-        assert len(trace) == 834
+        rate, samples = read_pcm(tmp_path / "chirp.pcm")
+        assert rate == 278_125.0
+        assert len(samples) == 834
         lines = (tmp_path / "chirp.csv").read_text().splitlines()
         assert lines[0] == "time_s,amplitude"
         assert len(lines) == 835
@@ -183,6 +195,14 @@ class TestSimulateCommand:
         assert all(abs(r - 1.0) <= 0.002 for r in ranges)
         assert (tmp_path / "transmit.csv").exists()
         assert (tmp_path / "received.csv").exists()
+
+    def test_infinite_snr_is_a_noiseless_run(self, tmp_path):
+        rc = run(["simulate", "--out", str(tmp_path), "--set", "simulate.duration_s=0.2",
+                  "--set", "simulate.noise_db=inf"])
+        assert rc == 0
+        lines = (tmp_path / "ranges.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2
+        assert all(abs(float(line.split(",")[4]) - 1.0) <= 0.002 for line in lines[1:])
 
     def test_zero_duration_writes_header_only(self, tmp_path):
         rc = run(["simulate", "--out", str(tmp_path),
@@ -228,9 +248,21 @@ class TestDecodeCommand:
         assert rc == 0
         pcm_files = sorted((tmp_path / "out").glob("ch*.pcm"))
         assert len(pcm_files) == 16
-        trace = load_pcm(pcm_files[0])
-        assert trace.sample_rate_hz == 4_450_000.0 / 16
-        assert len(trace) == 40 * 128 // 16
+        rate, samples = read_pcm(pcm_files[0])
+        assert rate == 4_450_000.0 / 16
+        assert len(samples) == 40 * 128 // 16
+
+    def test_channel_count_change_is_runtime_error(self, tmp_path, capsys):
+        stream_path = tmp_path / "stream.bin"
+        stream_path.write_bytes(b"".join(
+            encode_frame(Frame(sequence=s, timestamp_ticks=128 * s, samples_per_channel=128,
+                               payload=bytes(cc * 16), channel_count=cc))
+            for s, cc in enumerate((16, 8, 16))))
+        rc = run(["decode", str(stream_path), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "frame 1 has 8 channels, earlier frames 16" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_input(self, tmp_path, capsys):
         rc = run(["decode", str(tmp_path / "missing.bin"), "--out", str(tmp_path)])
@@ -267,10 +299,16 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "simulate.duration_s", "-1"),
         ("simulate", "simulate.duration_s", "inf"),
+        ("simulate", "simulate.rate_hz", "inf"),
         ("simulate", "simulate.strength", "2"),
         ("simulate", "simulate.azimuth_deg", "120"),
         ("psf", "psf.noise_power", "-1"),
         ("psf", "beamformer.loading", "-1"),
+        ("psf", "psf.power", "inf"),
+        ("psf", "frequency_hz", "inf"),
+        ("psf", "c_mps", "inf"),
+        ("psf", "grid.az_stop", "inf"),
+        ("psf", "grid.el_start", "nan"),
     ])
     def test_exits_2_naming_the_key_before_any_output(self, tmp_path, capsys,
                                                        command, key, value):

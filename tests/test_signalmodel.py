@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from sonarray.errors import ConfigError
-from sonarray.geometry import Direction, default_circular_array, steering_vector
+from sonarray.geometry import Direction, default_circular_array, steering_matrix
 from sonarray.signalmodel import (PointSource, Scene, SnapshotBlock,
                                   covariance_analytic, load_scene_file,
-                                  parse_scene_text, sample_covariance,
-                                  synthesize_snapshots)
+                                  parse_scene_text, sample_covariance)
 
 FREQ = 40_000.0
 C = 343.0
@@ -23,7 +22,8 @@ def brute_force_covariance(geometry, scene):
     R = np.zeros((L, L), dtype=complex)
     sources = [scene.desired] + list(scene.interferers)
     for src in sources:
-        d = steering_vector(geometry, src.direction, FREQ, C).entries
+        d = steering_matrix(geometry, src.direction.azimuth_deg,
+                            src.direction.elevation_deg, FREQ, C)[:, 0]
         for i in range(L):
             for j in range(L):
                 R[i, j] += src.power * d[i] * np.conj(d[j])
@@ -95,24 +95,27 @@ class TestCovarianceAnalytic:
         assert np.sum(eigs > 1e-9 * np.trace(R).real) <= 3
 
 
+def gaussian_block(geometry, direction, source_power, noise_power, n, seed):
+    """Seeded snapshots of one point source plus white noise, each signal a
+    circular complex Gaussian of its power: E[sample_covariance] is the
+    analytic covariance of the matching scene."""
+    rng = np.random.default_rng(seed)
+
+    def cgauss(power, shape):
+        return np.sqrt(power / 2.0) * (rng.standard_normal(shape)
+                                       + 1j * rng.standard_normal(shape))
+
+    d = steering_matrix(geometry, direction.azimuth_deg, direction.elevation_deg,
+                        FREQ, C)
+    L = geometry.n_elements
+    Y = d * cgauss(source_power, n)[None, :] + cgauss(noise_power, (L, n))
+    return SnapshotBlock(samples=Y, sample_rate_hz=1.0)
+
+
 class TestSnapshots:
-    def test_determinism(self, geometry):
-        scene = Scene(desired=PointSource(Direction(12, -3), 1.0), noise_power=0.2)
-        a = synthesize_snapshots(geometry, scene, FREQ, C, 64, rng_seed=7)
-        b = synthesize_snapshots(geometry, scene, FREQ, C, 64, rng_seed=7)
-        assert np.array_equal(a.samples, b.samples)
-        c = synthesize_snapshots(geometry, scene, FREQ, C, 64, rng_seed=8)
-        assert not np.array_equal(a.samples, c.samples)
-
-    def test_zero_power_scene_is_silent(self, geometry):
-        scene = Scene(desired=PointSource(Direction(0, 0), 0.0), noise_power=0.0)
-        block = synthesize_snapshots(geometry, scene, FREQ, C, 16, rng_seed=0)
-        assert np.max(np.abs(block.samples)) == 0.0
-
     def test_noise_only_sample_covariance_concentrates(self, geometry):
         n = 10_000
-        scene = Scene(desired=PointSource(Direction(0, 0), 0.0), noise_power=0.3)
-        block = synthesize_snapshots(geometry, scene, FREQ, C, n, rng_seed=123)
+        block = gaussian_block(geometry, Direction(0, 0), 0.0, 0.3, n, seed=123)
         R = sample_covariance(block)
         assert np.max(np.abs(R - 0.3 * np.eye(16))) <= 5 * 0.3 / np.sqrt(n)
 
@@ -121,15 +124,14 @@ class TestSnapshots:
         assert np.array_equal(sample_covariance(block), np.ones((4, 4), dtype=complex))
 
     def test_quadratic_scaling(self, geometry):
-        scene = Scene(desired=PointSource(Direction(5, 5), 1.0), noise_power=0.1)
-        block = synthesize_snapshots(geometry, scene, FREQ, C, 32, rng_seed=3)
+        block = gaussian_block(geometry, Direction(5, 5), 1.0, 0.1, 32, seed=3)
         scaled = SnapshotBlock(samples=2.0 * block.samples, sample_rate_hz=1.0)
         assert np.allclose(sample_covariance(scaled), 4.0 * sample_covariance(block),
                            atol=1e-12)
 
     def test_monte_carlo_matches_analytic(self, geometry):
         scene = Scene(desired=PointSource(Direction(0, 0), 1.0), noise_power=0.1)
-        block = synthesize_snapshots(geometry, scene, FREQ, C, 50_000, rng_seed=42)
+        block = gaussian_block(geometry, Direction(0, 0), 1.0, 0.1, 50_000, seed=42)
         R_hat = sample_covariance(block)
         R = covariance_analytic(geometry, scene, FREQ, C)
         assert np.max(np.abs(R_hat - R)) <= 0.05
@@ -140,15 +142,14 @@ class TestSnapshots:
         R = covariance_analytic(geometry, scene, FREQ, C)
         errs = []
         for n in (2_000, 20_000):
-            block = synthesize_snapshots(geometry, scene, FREQ, C, n, rng_seed=17)
+            block = gaussian_block(geometry, Direction(10, 0), 1.0, 0.1, n, seed=17)
             errs.append(np.max(np.abs(sample_covariance(block) - R)))
         ratio = errs[0] / errs[1]
         assert 2.0 <= ratio <= 5.0  # sqrt(10) ~ 3.16 expected
 
-    def test_snapshot_count_validation(self, geometry):
-        scene = Scene(desired=PointSource(Direction(0, 0), 1.0))
+    def test_snapshot_count_validation(self):
         with pytest.raises(ValueError):
-            synthesize_snapshots(geometry, scene, FREQ, C, 0, rng_seed=0)
+            SnapshotBlock(samples=np.zeros((16, 0), dtype=complex), sample_rate_hz=1.0)
 
 
 class TestSceneFiles:

@@ -1,11 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from sonarray.errors import UnreliableEstimateError
 from sonarray.waveform import (ChirpSpec, PcmTrace, chirp_samples_at,
-                               estimate_range, generate_chirp, load_pcm,
+                               estimate_range, generate_chirp,
                                matched_filter, save_pcm, save_trace_csv)
 
 FS = 278_125.0
@@ -203,16 +204,15 @@ class TestPcmFiles:
         trace = generate_chirp(ChirpSpec())
         path = tmp_path / "probe.pcm"
         save_pcm(trace, path)
-        loaded = load_pcm(path)
-        assert loaded.sample_rate_hz == trace.sample_rate_hz
-        assert np.max(np.abs(loaded.samples - trace.samples)) < 1e-6  # float32 storage
-        assert path.stat().st_size == 32 + 4 * len(trace)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.pcm"
-        path.write_bytes(b"NOPE" + b"\x00" * 28)
-        with pytest.raises(ValueError, match="magic"):
-            load_pcm(path)
+        # documented layout: magic, version u32, rate f64, length u64, zero
+        # pad to 32 bytes, little-endian, then float32 samples
+        blob = path.read_bytes()
+        assert struct.unpack("<4sIdQ", blob[:24]) == (b"PCM1", 1, trace.sample_rate_hz,
+                                                     len(trace))
+        assert blob[24:32] == bytes(8)
+        samples = np.frombuffer(blob[32:], dtype="<f4")
+        assert np.array_equal(samples, trace.samples.astype(np.float32))
+        assert np.max(np.abs(samples - trace.samples)) < 1e-6  # float32 storage
 
     def test_csv_export(self, tmp_path):
         trace = PcmTrace(np.array([0.0, 0.5, -0.25]), 1000.0)
