@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 import scipy.signal
 
 from . import _kernels
@@ -239,6 +240,14 @@ def _compensator_taps(rate_out_hz: float, factor: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _compensator_spectrum(rate_out_hz: float, factor: int, nfft: int) -> np.ndarray:
+    """Real FFT of the compensator taps zero-padded to nfft points."""
+    spectrum = scipy.fft.rfft(_compensator_taps(rate_out_hz, factor), nfft)
+    spectrum.flags.writeable = False  # cached; guard against callers mutating it
+    return spectrum
+
+
+@lru_cache(maxsize=8)
 def _cic_phase_tables(factor: int) -> np.ndarray:
     """Order-4 CIC polyphase sums as per-byte lookup tables.
 
@@ -274,6 +283,8 @@ def pdm_decimate(stream: PdmStream, factor: int = DECIMATION_FACTOR) -> PcmTrace
     than factor**4, so the float64 arithmetic is exact and the output
     equals the textbook integrator/comb cascade sampled at bits factor-1,
     2*factor-1, ...; trailing bits short of a whole block are dropped.
+    The FIR multiplies by the taps' spectrum, cached per (output rate,
+    factor, FFT length), and equals ``fftconvolve(mode="same")`` bit for bit.
     """
     if factor < 2:
         raise ValueError("factor must be >= 2")
@@ -298,7 +309,14 @@ def pdm_decimate(stream: PdmStream, factor: int = DECIMATION_FACTOR) -> PcmTrace
     vals = cic / float(factor) ** 4
     rate_out = stream.rate_hz / factor
     taps = _compensator_taps(rate_out, factor)
-    out = scipy.signal.fftconvolve(vals, taps, mode="same")
+    centre = (taps.size - 1) // 2
+    if n_out == 1:
+        # fftconvolve takes no FFT when an input has length 1
+        out = vals * taps[centre]
+    else:
+        nfft = scipy.fft.next_fast_len(n_out + taps.size - 1, real=True)
+        spectrum = scipy.fft.rfft(vals, nfft) * _compensator_spectrum(rate_out, factor, nfft)
+        out = scipy.fft.irfft(spectrum, nfft)[centre:centre + n_out]
     return PcmTrace(samples=out, sample_rate_hz=rate_out)
 
 

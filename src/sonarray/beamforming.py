@@ -6,19 +6,22 @@ so their outputs are directly comparable power estimates:
 * Bartlett: w = d / L, output w^H R w.
 * MVDR: w = R^-1 d / (d^H R^-1 d), output 1 / (d^H R^-1 d).
 
-MVDR solves use a Cholesky factorization of R plus optional diagonal
-loading expressed as a fraction of the average eigenvalue trace(R)/L:
-use 0 for analytic covariances and about 1e-3 for sample covariances
-estimated from few snapshots.  Grid scans share one factorization across
-all nodes and are evaluated with vectorized solves, so results are
-independent of evaluation order.
+MVDR uses a Cholesky factorization of R plus optional diagonal loading
+expressed as a fraction of the average eigenvalue trace(R)/L: use 0 for
+analytic covariances and about 1e-3 for sample covariances estimated
+from few snapshots.
+
+A grid scan evaluates Re(d^H A d) for every steering column d, with
+A = R / L^2 for Bartlett and A = R_loaded^-1 (from the Cholesky factor)
+for MVDR: one (L, L) @ (L, M) product, then a sum over a float view of
+D and A D, so every column gets the same arithmetic whatever the
+evaluation order.
 
 The scan steering matrix depends only on the geometry's content (its
 ``geometry_fingerprint``), the grid, the frequency and c, not on R, so
-``power_map`` caches the most recent one, read-only, together with its
-read-only complex conjugate, and reuses both while those four stay the
-same: a ping-rate scan or a Bartlett/MVDR pair over one grid builds and
-conjugates it once.  A direct ``grid_powers`` call conjugates its own D.
+``power_map`` caches the most recent one, read-only, and reuses it
+while those four stay the same: a ping-rate scan or a Bartlett/MVDR pair
+over one grid builds it once.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ DB_FLOOR = -80.0  # export floor for dB maps
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform azimuth/elevation grid, degrees, endpoints included."""
+    """Uniform azimuth/elevation grid, degrees, endpoints included; starts
+    and stops lie in [-90, 90], the front hemisphere ``Direction`` spans."""
 
     az_start_deg: float = -90.0
     az_stop_deg: float = 90.0
@@ -58,6 +62,8 @@ class GridSpec:
             for part, value in (("start", start), ("stop", stop), ("step", step)):
                 if not math.isfinite(value):
                     raise ValueError(f"grid.{name}_{part} must be finite, got {value!r}")
+                if part != "step" and not -90.0 <= value <= 90.0:
+                    raise ValueError(f"grid.{name}_{part} must lie in [-90, 90], got {value!r}")
             if not step > 0:
                 raise ValueError(f"grid.{name}_step must be > 0")
             if stop < start:
@@ -123,30 +129,22 @@ def _loaded(R: np.ndarray, loading: float) -> np.ndarray:
 def grid_powers(R: np.ndarray, D: np.ndarray, beamformer: str = "bartlett",
                 loading: float = 0.0) -> np.ndarray:
     """Per-column beamformer power for a steering matrix D of shape (L, M)."""
-    return _grid_powers(R, D, D.conj(), beamformer, loading)
-
-
-def _grid_powers(R: np.ndarray, D: np.ndarray, D_conj: np.ndarray, beamformer: str,
-                 loading: float) -> np.ndarray:
-    """grid_powers with the conjugate of D supplied by the caller."""
     R = np.asarray(R, dtype=complex)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ValueError("covariance must be square")
     if D.ndim != 2 or D.shape[0] != R.shape[0]:
         raise ValueError(f"steering matrix {D.shape} does not match covariance {R.shape}")
+    L = D.shape[0]
     if beamformer == "bartlett":
-        L = D.shape[0]
-        vals = np.einsum("lm,lm->m", D_conj, R @ D).real / (L * L)
+        vals = _quadratic_form(R / (L * L), D)
     elif beamformer == "mvdr":
-        R_loaded = _loaded(R, loading)
         try:
-            cho = scipy.linalg.cho_factor(R_loaded)
+            cho = scipy.linalg.cho_factor(_loaded(R, loading))
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise SingularMatrixError(
                 "covariance (plus loading) is not positive definite; "
                 "increase the diagonal loading fraction") from exc
-        X = scipy.linalg.cho_solve(cho, D, check_finite=False)
-        denom = np.einsum("lm,lm->m", D_conj, X).real
+        denom = _quadratic_form(scipy.linalg.cho_solve(cho, np.eye(L)), D)
         if not np.all(np.isfinite(denom)) or denom.min() <= 0:
             raise SingularMatrixError("d^H R^-1 d is not positive; increase loading")
         vals = 1.0 / denom
@@ -155,28 +153,38 @@ def _grid_powers(R: np.ndarray, D: np.ndarray, D_conj: np.ndarray, beamformer: s
     return np.maximum(vals, 0.0)
 
 
+def _quadratic_form(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Re(d^H A d) for every column d of D.
+
+    Viewed as floats, the rows of D and A D interleave real and imaginary
+    parts, so summing their products down each float column gives
+    Re(d)*Re(Ad) and Im(d)*Im(Ad) in alternate entries, whose pairwise
+    sums are Re(d^H A d).
+    """
+    D = np.ascontiguousarray(D, dtype=complex)
+    s = np.einsum("lj,lj->j", D.view(float), (A @ D).view(float))
+    return s[0::2] + s[1::2]
+
+
 # One entry: (geometry fingerprint, grid, frequency, c) -> read-only (L, M)
-# steering matrix and its read-only conjugate.  A ping-rate scan repeats the
-# same key, and one entry bounds the memory at a single matrix pair.
+# steering matrix.  A ping-rate scan repeats the same key, and one entry
+# bounds the memory at a single matrix.
 _scan_steering_cache: dict = {}
 
 
 def _scan_steering(geometry: ArrayGeometry, grid: GridSpec, frequency_hz: float,
-                   c_mps: float) -> tuple:
-    """Steering matrix over the grid nodes, elevation-major, and its
-    conjugate, cached."""
+                   c_mps: float) -> np.ndarray:
+    """Steering matrix over the grid nodes, elevation-major, cached."""
     key = (geometry_fingerprint(geometry), grid, float(frequency_hz), float(c_mps))
-    pair = _scan_steering_cache.get(key)
-    if pair is None:
+    D = _scan_steering_cache.get(key)
+    if D is None:
         az, el = grid.axes()
         AZ, EL = np.meshgrid(az, el)
         D = steering_matrix(geometry, AZ.ravel(), EL.ravel(), frequency_hz, c_mps)
-        pair = (D, D.conj())
-        for M in pair:
-            M.flags.writeable = False
+        D.flags.writeable = False
         _scan_steering_cache.clear()
-        _scan_steering_cache[key] = pair
-    return pair
+        _scan_steering_cache[key] = D
+    return D
 
 
 def power_map(geometry: ArrayGeometry, R: np.ndarray, grid: GridSpec,
@@ -184,8 +192,8 @@ def power_map(geometry: ArrayGeometry, R: np.ndarray, grid: GridSpec,
               beamformer: str = "bartlett", loading: float = 0.0) -> PowerMap:
     """Scan the chosen beamformer's output power over the grid."""
     az, el = grid.axes()
-    D, D_conj = _scan_steering(geometry, grid, frequency_hz, c_mps)
-    vals = _grid_powers(R, D, D_conj, beamformer, loading)
+    vals = grid_powers(R, _scan_steering(geometry, grid, frequency_hz, c_mps),
+                       beamformer, loading)
     return PowerMap(azimuth_deg=az, elevation_deg=el, power=vals.reshape(el.size, az.size))
 
 

@@ -201,14 +201,39 @@ class TestPowerMap:
 
     def test_cached_steering_is_shared_and_read_only(self):
         grid = GridSpec(az_step_deg=5.0, el_step_deg=5.0)
-        D, D_conj = _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C)
-        again = _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C)
-        assert again[0] is D and again[1] is D_conj
-        assert np.array_equal(D_conj, D.conj())
-        for M in (D, D_conj):
-            assert not M.flags.writeable
-            with pytest.raises(ValueError):
-                M[0, 0] = 0.0
+        D = _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C)
+        assert _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C) is D
+        assert not D.flags.writeable
+        with pytest.raises(ValueError):
+            D[0, 0] = 0.0
+
+    def test_grid_powers_match_per_column_reference(self, geometry):
+        az, el = GridSpec(az_step_deg=5.0, el_step_deg=5.0).axes()
+        AZ, EL = np.meshgrid(az, el)
+        D = steering_matrix(geometry, AZ.ravel(), EL.ravel(), FREQ, C)
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            A = rng.standard_normal((L, 2 * L)) + 1j * rng.standard_normal((L, 2 * L))
+            R = A @ A.conj().T / (2 * L)
+            bartlett = [np.vdot(d, R @ d).real / L**2 for d in D.T]
+            np.testing.assert_allclose(grid_powers(R, D, "bartlett"), bartlett, rtol=1e-12)
+            for loading in (0.0, 1e-3):
+                R_loaded = R + loading * (np.trace(R).real / L) * np.eye(L)
+                mvdr = [1.0 / np.vdot(d, np.linalg.solve(R_loaded, d)).real for d in D.T]
+                np.testing.assert_allclose(grid_powers(R, D, "mvdr", loading), mvdr,
+                                           rtol=1e-12)
+
+    def test_grid_powers_ignore_memory_layout(self, geometry):
+        # the kernel sums over a float view of D, which needs C order
+        az, el = GridSpec(az_step_deg=5.0, el_step_deg=5.0).axes()
+        AZ, EL = np.meshgrid(az, el)
+        D = steering_matrix(geometry, AZ.ravel(), EL.ravel(), FREQ, C)
+        R = covariance_analytic(geometry, single_source_scene(Direction(20, -10)), FREQ, C)
+        for layout in (D[:, ::3], np.asfortranarray(D)):
+            assert not layout.flags.c_contiguous
+            for bf, loading in (("bartlett", 0.0), ("mvdr", 0.0), ("mvdr", 1e-3)):
+                assert np.array_equal(grid_powers(R, layout, bf, loading),
+                                      grid_powers(R, np.ascontiguousarray(layout), bf, loading))
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError, match="az_step"):

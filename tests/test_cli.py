@@ -309,6 +309,8 @@ class TestBadConfigValues:
         ("psf", "c_mps", "inf"),
         ("psf", "grid.az_stop", "inf"),
         ("psf", "grid.el_start", "nan"),
+        ("psf", "grid.az_stop", "1e308"),
+        ("psf", "grid.el_start", "-200"),
     ])
     def test_exits_2_naming_the_key_before_any_output(self, tmp_path, capsys,
                                                        command, key, value):

@@ -25,12 +25,6 @@ def test_no_tracked_file_is_ignored():
     assert listed.stdout.split() == []
 
 
-# grid_powers is the public per-column beamformer that power_map's private
-# path mirrors; tests compare power_map against it bit for bit, so it stays
-# as the reference implementation although no module calls it.
-UNREFERENCED_BY_DESIGN = {"grid_powers"}
-
-
 def test_every_public_function_and_class_has_a_caller():
     # a reference is a Name or Attribute node in the package or in the
     # benchmark (its test file excluded) outside the definition itself;
@@ -56,5 +50,5 @@ def test_every_public_function_and_class_has_a_caller():
                     continue
                 if name != owner:
                     referenced.add(name)
-    unused = sorted(set(defined) - referenced - UNREFERENCED_BY_DESIGN)
+    unused = sorted(set(defined) - referenced)
     assert unused == [], [f"{defined[n].relative_to(ROOT)}: {n}" for n in unused]
