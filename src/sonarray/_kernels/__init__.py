@@ -1,7 +1,7 @@
 """Backend selection for the sigma-delta hot loop.
 
-The compiled Cython extension is used when it imports; otherwise the
-pure-Python fallback takes over transparently.  Both stay reachable
+The C extension built from ``_sdm.c`` is used when it imports; otherwise
+the pure-Python fallback takes over transparently.  Both stay reachable
 through :func:`available_backends` for benchmarking and for verifying
 backend equivalence.
 """

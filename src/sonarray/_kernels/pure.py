@@ -1,7 +1,7 @@
 """Pure-Python fallback for the sigma-delta inner loop.
 
 Kept operation-for-operation identical to the compiled version in
-``_sdm.pyx`` (same expressions, same association order), so both
+``_sdm.c`` (same expressions, same association order), so both
 backends produce bit-identical streams.
 """
 

@@ -126,7 +126,7 @@ class Config:
                 el_stop_deg=self.get_float("grid.el_stop"),
                 el_step_deg=self.get_float("grid.el_step"))
         except ValueError as exc:
-            raise ConfigError(str(exc).split()[0], str(exc)) from None
+            raise ConfigError.from_field("grid.", exc) from None
 
     def chirp_spec(self) -> ChirpSpec:
         try:
@@ -136,7 +136,7 @@ class Config:
                 duration_s=self.get_float("chirp.duration_s", positive=True),
                 sample_rate_hz=self.get_float("chirp.sample_rate_hz", positive=True))
         except ValueError as exc:
-            raise ConfigError("chirp", str(exc)) from None
+            raise ConfigError.from_field("chirp.", exc) from None
 
     def target(self) -> acquisition.ReflectorTarget:
         try:
@@ -146,9 +146,7 @@ class Config:
                 range_m=self.get_float("simulate.range_m"),
                 strength=self.get_float("simulate.strength"))
         except ValueError as exc:
-            # Direction and ReflectorTarget name the bad field first,
-            # e.g. "strength must lie in (0, 1]".
-            raise ConfigError(f"simulate.{str(exc).split()[0]}", str(exc)) from None
+            raise ConfigError.from_field("simulate.", exc) from None
 
     def chirp_window(self) -> str:
         window = self.get("chirp.window")

@@ -16,6 +16,20 @@ class ConfigError(SonarrayError):
         self.field = field
         super().__init__(f"{field}: {message}")
 
+    @classmethod
+    def from_field(cls, prefix: str, exc: ValueError, suffix: str = "") -> "ConfigError":
+        """Re-key a ValueError worded "<field> <complaint>" under its key.
+
+        The dataclasses that check config and scene values (GridSpec,
+        ChirpSpec, Direction, ReflectorTarget, PointSource, Scene) name the
+        bad field first, e.g. "strength must lie in (0, 1]".  The key is
+        ``prefix`` + field, or the field alone when it already starts with
+        ``prefix``, so the message names the key once.
+        """
+        field, _, message = str(exc).partition(" ")
+        key = field if field.startswith(prefix) else prefix + field
+        return cls(key, message + suffix)
+
 
 class SingularMatrixError(SonarrayError):
     """A covariance (plus loading) could not be factorized.

@@ -54,6 +54,11 @@ class ArrayGeometry:
             raise ValueError("elements must be an (L, 3) array with L >= 1")
         if reference.shape != (3,):
             raise ValueError("reference_point must be a 3-vector")
+        for i, position in enumerate(elements):
+            if not np.isfinite(position).all():
+                raise ValueError(f"element {i} position must be finite, got {position.tolist()}")
+        if not np.isfinite(reference).all():
+            raise ValueError(f"reference_point must be finite, got {reference.tolist()}")
         if elements.shape[0] > 1:
             deltas = elements[:, None, :] - elements[None, :, :]
             dist = np.linalg.norm(deltas, axis=-1)

@@ -12,6 +12,7 @@ captures), and :func:`sample_covariance` estimates R from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ class PointSource:
 
     def __post_init__(self):
         if not self.power >= 0:
-            raise ValueError("source power must be >= 0")
+            raise ValueError(f"power must be >= 0, got {self.power!r}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "interferers", tuple(self.interferers))
         if not self.noise_power >= 0:
-            raise ValueError("noise_power must be >= 0")
+            raise ValueError(f"noise_power must be >= 0, got {self.noise_power!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +115,8 @@ def parse_scene_text(text: str, source: str = "<scene>") -> tuple:
             number = float(value)
         except ValueError:
             raise ConfigError(key, f"not a number: {value!r}") from None
+        if not math.isfinite(number):
+            raise ConfigError(key, f"must be finite, got {value!r}")
         group, _, sub = key.partition(".")
         if group == "desired" and sub in _SOURCE_KEYS:
             desired[sub] = number
@@ -134,17 +137,28 @@ def parse_scene_text(text: str, source: str = "<scene>") -> tuple:
         for req in _SOURCE_KEYS:
             if req not in block:
                 raise ConfigError(f"interferer.{req}", f"missing in interferer block {i + 1}")
-        sources.append(PointSource(Direction(block["azimuth_deg"], block["elevation_deg"]),
-                                   block["power"]))
-    scene = Scene(
-        desired=PointSource(Direction(desired["azimuth_deg"], desired["elevation_deg"]),
-                            desired["power"]),
-        interferers=tuple(sources),
-        noise_power=top.get("noise_power", 0.0),
-    )
+        sources.append(_point_source(block, "interferer.", f" (interferer block {i + 1})"))
+    desired_source = _point_source(desired, "desired.")
+    try:
+        scene = Scene(desired=desired_source, interferers=tuple(sources),
+                      noise_power=top.get("noise_power", 0.0))
+    except ValueError as exc:
+        raise ConfigError.from_field("", exc) from None
     if "frequency_hz" not in top:
         raise ConfigError("frequency_hz", "missing from scene description")
-    return scene, top["frequency_hz"], top.get("c_mps", SPEED_OF_SOUND_MPS)
+    top.setdefault("c_mps", SPEED_OF_SOUND_MPS)
+    for key in ("frequency_hz", "c_mps"):
+        if not top[key] > 0:
+            raise ConfigError(key, f"must be > 0, got {top[key]!r}")
+    return scene, top["frequency_hz"], top["c_mps"]
+
+
+def _point_source(values: dict, prefix: str, where: str = "") -> PointSource:
+    try:
+        return PointSource(Direction(values["azimuth_deg"], values["elevation_deg"]),
+                           values["power"])
+    except ValueError as exc:
+        raise ConfigError.from_field(prefix, exc, where) from None
 
 
 def load_scene_file(path) -> tuple:

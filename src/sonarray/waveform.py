@@ -42,7 +42,7 @@ class ChirpSpec:
         nyquist = self.sample_rate_hz / 2.0
         for name, f in (("f_start_hz", self.f_start_hz), ("f_end_hz", self.f_end_hz)):
             if not 0 < f < nyquist:
-                raise ValueError(f"{name}={f} violates Nyquist for fs={self.sample_rate_hz}")
+                raise ValueError(f"{name} must lie in (0, fs/2) = (0, {nyquist!r}), got {f!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -137,6 +137,35 @@ class TestScanCommand:
         assert rc == 2
         assert "noise_pwr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("desired.azimuth_deg", "120"),
+        ("desired.elevation_deg", "nan"),
+        ("desired.power", "-1"),
+        ("interferer.azimuth_deg", "-95"),
+        ("interferer.power", "inf"),
+        ("noise_power", "-0.5"),
+        ("frequency_hz", "inf"),
+        ("frequency_hz", "0"),
+        ("c_mps", "0"),
+        ("c_mps", "-343"),
+    ])
+    def test_bad_scene_value_exits_2_naming_the_key_once(self, tmp_path, capsys,
+                                                          key, value):
+        lines = {"frequency_hz": "40000", "c_mps": "343", "noise_power": "0.01",
+                 "desired.azimuth_deg": "10", "desired.elevation_deg": "0",
+                 "desired.power": "1", "interferer.azimuth_deg": "-40",
+                 "interferer.elevation_deg": "5", "interferer.power": "2"}
+        lines[key] = value
+        scene = tmp_path / "scene.txt"
+        scene.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        out = tmp_path / "out"
+        rc = run(["scan", "--out", str(out), "--set", f"scene.file={scene}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert err.count(key.rpartition(".")[2]) == 1
+        assert not out.exists()
+
     def test_singular_covariance_is_runtime_error(self, tmp_path, capsys):
         scene = tmp_path / "scene.txt"
         scene.write_text(
@@ -165,6 +194,17 @@ class TestGeometryKeys:
                         "-0.015,0,0,2\n0,-0.015,0,3\n")
         g = Config({"geometry.csv": str(path), "geometry.elements": "8"}).geometry()
         assert g.n_elements == 4
+
+    @pytest.mark.parametrize("coordinate", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_coordinate_exits_2(self, tmp_path, capsys, coordinate):
+        path = tmp_path / "layout.csv"
+        path.write_text("x_m,y_m,z_m,index\n0.015,0,0,0\n"
+                        f"0,{coordinate},0,1\n-0.015,0,0,2\n")
+        out = tmp_path / "out"
+        rc = run(["psf", "--out", str(out), "--set", f"geometry.csv={path}"])
+        assert rc == 2
+        assert "geometry.csv: element 1 position must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_preset_key_is_unknown(self, tmp_path, capsys):
         rc = run(["psf", "--out", str(tmp_path), "--set", "geometry.preset=circular16"])
@@ -311,11 +351,15 @@ class TestBadConfigValues:
         ("psf", "grid.el_start", "nan"),
         ("psf", "grid.az_stop", "1e308"),
         ("psf", "grid.el_start", "-200"),
+        ("chirp", "chirp.f_end_hz", "200000"),
     ])
     def test_exits_2_naming_the_key_before_any_output(self, tmp_path, capsys,
                                                        command, key, value):
         out = tmp_path / "out"
         rc = run([command, "--out", str(out), "--set", f"{key}={value}"])
         assert rc == 2
-        assert key in capsys.readouterr().err
+        # the key appears, and its last part nowhere else
+        err = capsys.readouterr().err
+        assert key in err
+        assert err.count(key.rpartition(".")[2]) == 1
         assert list(out.glob("*")) == []

@@ -56,6 +56,14 @@ class TestCircularArray:
         with pytest.raises(ValueError):
             ArrayGeometry(elements=pts, reference_point=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        pts = np.array([[0.01, 0, 0], [0, bad, 0]])
+        with pytest.raises(ValueError, match="element 1 position must be finite"):
+            ArrayGeometry(elements=pts, reference_point=np.zeros(3))
+        with pytest.raises(ValueError, match="reference_point must be finite"):
+            ArrayGeometry(elements=pts[:1], reference_point=[0, 0, bad])
+
     def test_default_preset(self):
         g = default_circular_array()
         assert g.n_elements == 16

@@ -1,4 +1,5 @@
 import ast
+import importlib.metadata
 import subprocess
 from pathlib import Path
 
@@ -23,6 +24,27 @@ def test_no_tracked_file_is_ignored():
     listed = git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout.split() == []
+
+
+def test_build_requirements_are_installed():
+    # no build step may need what an offline host cannot provide: every
+    # [build-system] requirement must be met by an installed distribution
+    tomllib = pytest.importorskip("tomllib")
+    requirements = pytest.importorskip("packaging.requirements")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    unmet = []
+    for entry in pyproject["build-system"]["requires"]:
+        req = requirements.Requirement(entry)
+        if req.marker is not None and not req.marker.evaluate():
+            continue
+        try:
+            version = importlib.metadata.version(req.name)
+        except importlib.metadata.PackageNotFoundError:
+            unmet.append(f"{entry}: not installed")
+            continue
+        if not req.specifier.contains(version, prereleases=True):
+            unmet.append(f"{entry}: {version} installed")
+    assert unmet == []
 
 
 def test_every_public_function_and_class_has_a_caller():
