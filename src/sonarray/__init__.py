@@ -8,6 +8,8 @@ Modules:
 * :mod:`sonarray.waveform` -- chirps, matched filtering, range estimates
 * :mod:`sonarray.acquisition` -- echo captures, PDM modulation/decimation
 * :mod:`sonarray.framing` -- frame wire format and streaming parser
+* :mod:`sonarray.pipeline` -- the sensor chain: scene to frames, frames
+  to range and direction
 * :mod:`sonarray.cli` -- the ``sonarray`` command-line tool
 """
 

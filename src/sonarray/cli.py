@@ -1,21 +1,27 @@
 """Command-line front end.
 
-Subcommands: psf, scan, chirp, simulate, decode.  Every run is
-driven by a flat key-value config (file via --config, overrides via
-repeatable --set key=value); all randomness derives from one seed.
-Exit codes: 0 success, 2 usage/config error, 3 runtime data error.
+Subcommands: psf, scan, chirp, simulate, localize, decode.  ``simulate``
+writes the frame stream of its pings through :mod:`sonarray.pipeline`,
+and ``localize`` reads one back into per-ping ranges and directions.
+Every run is driven by a flat key-value config (file via --config,
+overrides via repeatable --set key=value); all randomness derives from
+one seed.  Exit codes: 0 success, 2 usage/config error, 3 runtime data
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
+import dataclasses
+import itertools
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, acquisition, beamforming, framing, waveform
+from . import (__version__, acquisition, beamforming, framing, pipeline,
+               waveform)
 from .errors import ConfigError, SonarrayError
 from .geometry import (Direction, build_uniform_circular_array,
                        load_geometry_csv)
@@ -54,7 +60,6 @@ DEFAULTS = {
     "simulate.duration_s": "3.0",
     "simulate.rate_hz": "10",
     "simulate.noise_db": "20",
-    "simulate.channel": "0",
     "decode.rate_hz": "4450000",
     "decode.decimate": "false",
     "decode.factor": "16",
@@ -154,6 +159,23 @@ class Config:
             raise ConfigError("chirp.window", f"must be one of {waveform.WINDOWS}")
         return window
 
+    def sensor(self) -> pipeline.Sensor:
+        ping_hz = self.get_float("simulate.rate_hz", positive=True)
+        if ping_hz > 1.0 / pipeline.WINDOW_S:
+            raise ConfigError(
+                "simulate.rate_hz", f"must be <= {1.0 / pipeline.WINDOW_S:g} so each "
+                f"{pipeline.WINDOW_S:g} s ping window ends before the next ping, "
+                f"got {ping_hz:g}")
+        return pipeline.Sensor(
+            geometry=self.geometry(),
+            chirp=generate_chirp(self.chirp_spec(), self.chirp_window()),
+            grid=self.grid(),
+            frequency_hz=self.get_float("frequency_hz", positive=True),
+            c_mps=self.get_float("c_mps", positive=True),
+            pdm_rate_hz=self.get_float("decode.rate_hz", positive=True),
+            factor=self.get_int("decode.factor", minimum=2),
+            ping_hz=ping_hz)
+
 
 def load_config_file(path) -> dict:
     values = {}
@@ -206,6 +228,36 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+class _FrameReader:
+    """Frames of a stream file, or of stdin for "-", parsed from
+    CHUNK_BYTES reads, with the parser's counters and corruption kinds."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.parser = framing.StreamParser()
+        self.corruption = collections.Counter()
+
+    def __iter__(self):
+        if self.path == "-":
+            source = contextlib.nullcontext(sys.stdin.buffer)
+        else:
+            try:
+                source = open(self.path, "rb")
+            except OSError as exc:
+                raise ConfigError("input", f"cannot read: {exc}") from None
+        with source as stream:
+            while chunk := stream.read(pipeline.CHUNK_BYTES):
+                for event in self.parser.feed(chunk):
+                    if isinstance(event, framing.Frame):
+                        yield event
+                    else:
+                        self.corruption[event.kind] += 1
+
+    def summary(self) -> str:
+        counts = dataclasses.asdict(self.parser.stats) | dict(sorted(self.corruption.items()))
+        return " ".join(f"{name}={count}" for name, count in counts.items())
 
 
 def _write_metrics(path, metrics: beamforming.PsfMetrics) -> None:
@@ -296,48 +348,70 @@ def cmd_chirp(args, extra) -> int:
 
 def cmd_simulate(args, extra) -> int:
     cfg = build_config(args, extra)
-    geometry = cfg.geometry()
-    spec = cfg.chirp_spec()
-    template = generate_chirp(spec, cfg.chirp_window())
+    sensor = cfg.sensor()
     target = cfg.target()
     duration = cfg.get_float("simulate.duration_s", minimum=0)
-    rate = cfg.get_float("simulate.rate_hz", positive=True)
     noise_db = cfg.get_float("simulate.noise_db")
-    channel = cfg.get_int("simulate.channel", minimum=0)
-    c_mps = cfg.get_float("c_mps", positive=True)
     seed = cfg.get_int("seed", minimum=0)
-    if channel >= geometry.n_elements:
-        raise ConfigError("simulate.channel", "channel index beyond the array")
-    n_pings = int(duration * rate + 1e-9)
-    window_s = 1.0 / rate
+    n_pings = int(duration * sensor.ping_hz + 1e-9)
     out = _out_dir(args)
-    waveform.save_trace_csv(template, out / "transmit.csv")
-    rows = []
-    for ping in range(n_pings):
-        capture = acquisition.synthesize_capture(
-            geometry, target, template, noise_db, c_mps,
-            rng_seed=seed + 64 * ping, window_s=window_s)
-        trace = capture.channels[channel]
-        if ping == 0:
-            waveform.save_trace_csv(trace, out / "received.csv")
-        mf = waveform.matched_filter(trace, template)
+    waveform.save_trace_csv(sensor.chirp, out / "transmit.csv")
+    with open(out / "stream.bin", "wb") as fh:
+        for ping in range(n_pings):
+            capture, payloads = pipeline.acquire_window(sensor, target, noise_db,
+                                                        seed + 64 * ping)
+            if ping == 0:
+                waveform.save_trace_csv(capture.channels[0], out / "received.csv")
+            for frame in pipeline.frame_window(sensor, payloads, ping):
+                fh.write(framing.encode_frame(frame))
+    print(f"simulate: {n_pings} ping(s) written to stream.bin")
+    return 0
+
+
+def _localize_ping(sensor: pipeline.Sensor, sweep_s: float, ping: int, frames: list) -> tuple:
+    """One ranges.csv row; NaN, with the cause on stderr, when the ping's
+    window is incomplete or gives no estimate."""
+    streams = pipeline.channel_streams(frames, sensor.pdm_rate_hz)
+    if streams and len(streams) != sensor.geometry.n_elements:
+        raise SonarrayError(f"ping {ping} has {len(streams)} channels, "
+                            f"the array {sensor.geometry.n_elements}")
+    head = (ping, ping / sensor.ping_hz)
+    if len(frames) != pipeline.FRAMES_PER_WINDOW:
+        cause = f"{len(frames)} of {pipeline.FRAMES_PER_WINDOW} frames"
+    else:
         try:
-            est = waveform.estimate_range(mf, capture.emission_marker, c_mps,
-                                          template_length=len(template))
-            rows.append((ping, ping / rate, est.delay_s,
-                         est.delay_s - spec.duration_s, est.range_m,
-                         est.peak_value, est.peak_to_noise_db))
+            est, direction = pipeline.localize_window(sensor, streams)
         except SonarrayError as exc:
-            print(f"simulate: ping {ping}: {exc}", file=sys.stderr)
-            rows.append((ping, ping / rate, float("nan"), float("nan"),
-                         float("nan"), float("nan"), float("nan")))
+            cause = str(exc)
+        else:
+            return head + (est.delay_s, est.delay_s - sweep_s, est.range_m, est.peak_value,
+                           est.peak_to_noise_db, direction.azimuth_deg,
+                           direction.elevation_deg)
+    print(f"localize: ping {ping}: {cause}", file=sys.stderr)
+    return head + (math.nan,) * 7
+
+
+def cmd_localize(args, extra) -> int:
+    cfg = build_config(args, extra)
+    sensor = cfg.sensor()
+    sweep_s = cfg.chirp_spec().duration_s
+    reader = _FrameReader(args.input)
+    rows = []
+    for ping, frames in itertools.groupby(reader, key=lambda f: pipeline.ping_of(sensor, f)):
+        if rows and ping <= rows[-1][0]:
+            raise SonarrayError(f"a frame of ping {ping} follows ping {rows[-1][0]}")
+        for missing in range(rows[-1][0] + 1 if rows else ping, ping):
+            rows.append(_localize_ping(sensor, sweep_s, missing, []))
+        rows.append(_localize_ping(sensor, sweep_s, ping, list(frames)))
+    out = _out_dir(args)
     with open(out / "ranges.csv", "w", newline="") as fh:
         fh.write("ping,emission_time_s,delay_s,delay_from_sweep_end_s,"
-                 "range_m,peak_value,peak_to_noise_db\n")
+                 "range_m,peak_value,peak_to_noise_db,azimuth_deg,elevation_deg\n")
         for row in rows:
             fh.write(f"{row[0]},{row[1]:.6f},{row[2]:.9f},{row[3]:.9f},"
-                     f"{row[4]:.6f},{row[5]:.6g},{row[6]:.2f}\n")
-    print(f"simulate: {n_pings} ping(s) written to ranges.csv")
+                     f"{row[4]:.6f},{row[5]:.6g},{row[6]:.2f},{row[7]:.10g},{row[8]:.10g}\n")
+    print(reader.summary())
+    print(f"localize: {len(rows)} ping(s) written to ranges.csv")
     return 0
 
 
@@ -346,57 +420,19 @@ def cmd_decode(args, extra) -> int:
     rate = cfg.get_float("decode.rate_hz", positive=True)
     decimate = cfg.get_bool("decode.decimate")
     factor = cfg.get_int("decode.factor", minimum=2)
-    if args.input == "-":
-        stream = sys.stdin.buffer
-        close = False
-    else:
-        try:
-            stream = open(args.input, "rb")
-        except OSError as exc:
-            print(f"decode: cannot read input: {exc}", file=sys.stderr)
-            return 2
-        close = True
-    parser = framing.StreamParser()
-    channel_bits: dict = {}
-    event_counts: dict = {}
-    try:
-        while True:
-            chunk = stream.read(65536)
-            if not chunk:
-                break
-            for event in parser.feed(chunk):
-                if isinstance(event, framing.Frame):
-                    if channel_bits and event.channel_count != len(channel_bits):
-                        raise SonarrayError(
-                            f"frame {event.sequence} has {event.channel_count} channels, "
-                            f"earlier frames {len(channel_bits)}")
-                    bits = event.channel_bits()
-                    for ch in range(event.channel_count):
-                        channel_bits.setdefault(ch, []).append(bits[ch])
-                else:
-                    event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-    finally:
-        if close:
-            stream.close()
+    reader = _FrameReader(args.input)
+    streams = pipeline.channel_streams(list(reader), rate)
     out = _out_dir(args)
-    stats = parser.stats
-    for ch in sorted(channel_bits):
-        bits = np.concatenate(channel_bits[ch])
-        pdm = acquisition.PdmStream(data=np.packbits(bits).tobytes(),
-                                    n_bits=bits.size, rate_hz=rate, channel=ch)
-        acquisition.save_pdm(pdm, out / f"ch{ch:02d}.pdm")
+    for pdm in streams:
+        acquisition.save_pdm(pdm, out / f"ch{pdm.channel:02d}.pdm")
         if decimate:
             try:
                 pcm = acquisition.pdm_decimate(pdm, factor)
             except ValueError as exc:
-                print(f"decode: channel {ch}: {exc}", file=sys.stderr)
+                print(f"decode: channel {pdm.channel}: {exc}", file=sys.stderr)
                 return 3
-            waveform.save_pcm(pcm, out / f"ch{ch:02d}.pcm")
-    summary = (f"frames_ok={stats.frames_ok} frames_lost={stats.frames_lost} "
-               f"resyncs={stats.resyncs} bytes_discarded={stats.bytes_discarded}")
-    for kind in sorted(event_counts):
-        summary += f" {kind}={event_counts[kind]}"
-    print(summary)
+            waveform.save_pcm(pcm, out / f"ch{pdm.channel:02d}.pcm")
+    print(reader.summary())
     return 0
 
 
@@ -404,7 +440,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sonarray",
         description="Circular-array sonar bench: beamforming, chirp ranging, "
-                    "PDM acquisition emulation, and frame-stream decoding.")
+                    "PDM acquisition emulation, and frame-stream localization "
+                    "and decoding.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key-value config file")
@@ -418,7 +455,10 @@ def main(argv=None) -> int:
     sub.add_parser("scan", parents=[common], help="power-map scan of a scene file")
     sub.add_parser("chirp", parents=[common], help="emit the probe waveform")
     sub.add_parser("simulate", parents=[common],
-                   help="ping/echo ranging experiment against a reflector")
+                   help="frame stream of pings echoed by a reflector")
+    localize = sub.add_parser("localize", parents=[common],
+                              help="per-ping range and direction from a frame stream")
+    localize.add_argument("input", help="frame stream file, or - for stdin")
     decode = sub.add_parser("decode", parents=[common],
                             help="decode a frame stream into per-channel PDM")
     decode.add_argument("input", help="frame stream file, or - for stdin")
@@ -437,6 +477,7 @@ def main(argv=None) -> int:
         "scan": cmd_scan,
         "chirp": cmd_chirp,
         "simulate": cmd_simulate,
+        "localize": cmd_localize,
         "decode": cmd_decode,
     }
     try:

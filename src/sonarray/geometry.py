@@ -134,8 +134,9 @@ def steering_matrix(geometry: ArrayGeometry, azimuth_deg, elevation_deg,
 def load_geometry_csv(path) -> ArrayGeometry:
     """Read a geometry CSV: header ``x_m,y_m,z_m,index``, one row per element.
 
-    The header row is required; rows are sorted by their index column.
-    The reference point is the origin.
+    The header row is required.  The index column must hold 0..L-1, each
+    once, for L rows; element i is the row with index i.  Row errors name
+    ``path:line``.  The reference point is the origin.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -146,16 +147,28 @@ def load_geometry_csv(path) -> ArrayGeometry:
         expected = ["x_m", "y_m", "z_m", "index"]
         if [h.strip() for h in header] != expected:
             raise ValueError(f"{path}: expected header {','.join(expected)}")
-        rows = []
+        rows = {}  # index -> (line, position)
         for row in reader:
             if not row:
                 continue
-            x, y, z, idx = row
-            rows.append((int(idx), float(x), float(y), float(z)))
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 4:
+                raise ValueError(f"{where}: expected 4 values, got {len(row)}")
+            try:
+                position = [float(v) for v in row[:3]]
+                index = int(row[3])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if index in rows:
+                raise ValueError(f"{where}: index {index} repeats line {rows[index][0]}")
+            rows[index] = (reader.line_num, position)
     if not rows:
         raise ValueError(f"{path}: no element rows")
-    rows.sort()
-    elements = np.array([[x, y, z] for _, x, y, z in rows])
+    for index, (line, _) in rows.items():
+        if not 0 <= index < len(rows):
+            raise ValueError(f"{path}:{line}: index {index} outside 0..{len(rows) - 1} "
+                             f"for {len(rows)} rows")
+    elements = np.array([rows[i][1] for i in range(len(rows))])
     return ArrayGeometry(elements=elements, reference_point=np.zeros(3))
 
 

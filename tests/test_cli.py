@@ -7,7 +7,7 @@ import pytest
 
 from sonarray.beamforming import GridSpec
 from sonarray.cli import DEFAULTS, Config, main
-from sonarray.framing import Frame, encode_frame
+from sonarray.framing import Frame, encode_frame, parse_stream
 from sonarray.geometry import default_circular_array, geometry_fingerprint
 
 
@@ -60,7 +60,7 @@ class TestPsfCommand:
         assert "grid.az_step" in captured.err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        for key in ("grid.typo", "bench.duration_s"):
+        for key in ("grid.typo", "bench.duration_s", "simulate.channel"):
             rc = run(["psf", "--out", str(tmp_path), "--set", f"{key}=1"])
             assert rc == 2
             assert key in capsys.readouterr().err
@@ -206,6 +206,24 @@ class TestGeometryKeys:
         assert "geometry.csv: element 1 position must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, line, message", [
+        ("0.015,0,0,0\n0,0.015,0\n", 3, "expected 4 values, got 3"),
+        ("0.015,0,0,0\n0,abc,0,1\n", 3, "could not convert string to float: 'abc'"),
+        ("0.015,0,0,0\n0,0.015,0,1.5\n", 3, "invalid literal for int()"),
+        ("0.015,0,0,0\n0,0.015,0,0\n-0.015,0,0,7\n0,-0.015,0,3\n", 3,
+         "index 0 repeats line 2"),
+        ("0.015,0,0,0\n0,0.015,0,1\n-0.015,0,0,7\n0,-0.015,0,3\n", 4,
+         "index 7 outside 0..3 for 4 rows"),
+    ])
+    def test_bad_csv_row_exits_2_naming_its_line(self, tmp_path, capsys, rows, line, message):
+        path = tmp_path / "layout.csv"
+        path.write_text("x_m,y_m,z_m,index\n" + rows)
+        out = tmp_path / "out"
+        rc = run(["psf", "--out", str(out), "--set", f"geometry.csv={path}"])
+        assert rc == 2
+        assert f"geometry.csv: {path}:{line}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_preset_key_is_unknown(self, tmp_path, capsys):
         rc = run(["psf", "--out", str(tmp_path), "--set", "geometry.preset=circular16"])
         assert rc == 2
@@ -224,40 +242,53 @@ class TestChirpCommand:
         assert len(lines) == 835
 
 
+def simulate_and_localize(out, *settings):
+    """Run simulate then localize into ``out``; the ranges.csv data lines."""
+    sets = [arg for item in settings for arg in ("--set", item)]
+    assert run(["simulate", "--out", str(out)] + sets) == 0
+    assert run(["localize", str(out / "stream.bin"), "--out", str(out)] + sets) == 0
+    return (out / "ranges.csv").read_text().splitlines()[1:]
+
+
 class TestSimulateCommand:
-    def test_short_run_rows_and_examples(self, tmp_path):
-        rc = run(["simulate", "--out", str(tmp_path),
-                  "--set", "simulate.duration_s=0.5"])
-        assert rc == 0
-        lines = (tmp_path / "ranges.csv").read_text().splitlines()
-        assert len(lines) == 1 + 5  # header + 5 pings at 10 Hz
-        ranges = [float(line.split(",")[4]) for line in lines[1:]]
-        assert all(abs(r - 1.0) <= 0.002 for r in ranges)
-        assert (tmp_path / "transmit.csv").exists()
-        assert (tmp_path / "received.csv").exists()
+    # the pure sigma-delta loop costs ~1.5 s per ping, so these runs are
+    # one or two pings long
+
+    @pytest.fixture(scope="class")
+    def two_pings(self, tmp_path_factory):
+        """0.29 s at 10 Hz: two pings, simulated and localized."""
+        out = tmp_path_factory.mktemp("two_pings")
+        return out, simulate_and_localize(out, "simulate.duration_s=0.29")
+
+    def test_short_run_rows_and_examples(self, two_pings):
+        out, rows = two_pings
+        assert len(rows) == 2
+        assert all(abs(float(row.split(",")[4]) - 1.0) <= 0.002 for row in rows)
+        transmit = (out / "transmit.csv").read_text().splitlines()
+        received = (out / "received.csv").read_text().splitlines()
+        assert (transmit[0], received[0]) == ("time_s,amplitude", "time_s,amplitude")
+        assert (len(transmit), len(received)) == (1 + 834, 1 + 13906)  # 3 ms, 50 ms
+
+    def test_ping_count_floors_duration_times_rate(self, two_pings):
+        out, rows = two_pings
+        events, stats = parse_stream((out / "stream.bin").read_bytes())
+        assert stats.frames_ok == len(events) == 2 * 16
+        assert sorted({e.timestamp_ticks // 445_000 for e in events}) == [0, 1]
+        assert [row.split(",")[:2] for row in rows] == [["0", "0.000000"],
+                                                        ["1", "0.100000"]]
 
     def test_infinite_snr_is_a_noiseless_run(self, tmp_path):
-        rc = run(["simulate", "--out", str(tmp_path), "--set", "simulate.duration_s=0.2",
-                  "--set", "simulate.noise_db=inf"])
-        assert rc == 0
-        lines = (tmp_path / "ranges.csv").read_text().splitlines()
-        assert len(lines) == 1 + 2
-        assert all(abs(float(line.split(",")[4]) - 1.0) <= 0.002 for line in lines[1:])
+        rows = simulate_and_localize(tmp_path, "simulate.duration_s=0.1",
+                                     "simulate.noise_db=inf")
+        assert len(rows) == 1
+        fields = rows[0].split(",")
+        assert abs(float(fields[4]) - 1.0) <= 0.002
+        assert (float(fields[7]), float(fields[8])) == (0.0, 0.0)
 
     def test_zero_duration_writes_header_only(self, tmp_path):
-        rc = run(["simulate", "--out", str(tmp_path),
-                  "--set", "simulate.duration_s=0"])
-        assert rc == 0
-        lines = (tmp_path / "ranges.csv").read_text().splitlines()
-        assert len(lines) == 1
-
-    def test_three_seconds_at_ten_hertz_gives_thirty_pings(self, tmp_path):
-        rc = run(["simulate", "--out", str(tmp_path)])  # defaults: 3 s, 10 Hz
-        assert rc == 0
-        lines = (tmp_path / "ranges.csv").read_text().splitlines()
-        assert len(lines) == 1 + 30
-        ranges = [float(line.split(",")[4]) for line in lines[1:]]
-        assert abs(sum(ranges) / len(ranges) - 1.000) <= 0.002
+        assert simulate_and_localize(tmp_path, "simulate.duration_s=0") == []
+        assert (tmp_path / "stream.bin").read_bytes() == b""
+        assert not (tmp_path / "received.csv").exists()
 
 
 class TestDecodeCommand:
@@ -291,6 +322,17 @@ class TestDecodeCommand:
         rate, samples = read_pcm(pcm_files[0])
         assert rate == 4_450_000.0 / 16
         assert len(samples) == 40 * 128 // 16
+
+    def test_pdm_files_hold_each_channels_bits_in_frame_order(self, tmp_path):
+        data = make_stream(3, spc=128)  # 16 bytes per channel per frame
+        stream_path = tmp_path / "stream.bin"
+        stream_path.write_bytes(data)
+        assert run(["decode", str(stream_path), "--out", str(tmp_path / "out")]) == 0
+        frames, _ = parse_stream(data)
+        for ch in range(16):
+            blob = (tmp_path / "out" / f"ch{ch:02d}.pdm").read_bytes()
+            assert struct.unpack("<4sHdHQ", blob[:24]) == (b"PDM1", 1, 4_450_000.0, ch, 384)
+            assert blob[24:] == b"".join(f.payload[16 * ch:16 * (ch + 1)] for f in frames)
 
     def test_channel_count_change_is_runtime_error(self, tmp_path, capsys):
         stream_path = tmp_path / "stream.bin"

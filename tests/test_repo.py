@@ -74,3 +74,23 @@ def test_every_public_function_and_class_has_a_caller():
                     referenced.add(name)
     unused = sorted(set(defined) - referenced)
     assert unused == [], [f"{defined[n].relative_to(ROOT)}: {n}" for n in unused]
+
+
+def test_every_config_key_is_read():
+    # a key is read when its name is a string literal in the package or the
+    # benchmark (its test file excluded) outside the DEFAULTS table, so a
+    # deleted code path cannot leave its knob behind
+    from sonarray.cli import DEFAULTS
+
+    sources = sorted((ROOT / "src" / "sonarray").rglob("*.py")) + [
+        p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    literals = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        table = {id(node) for statement in tree.body if isinstance(statement, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "DEFAULTS" for t in statement.targets)
+                 for node in ast.walk(statement)}
+        literals.update(node.value for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and id(node) not in table)
+    assert sorted(set(DEFAULTS) - literals) == []
