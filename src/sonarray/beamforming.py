@@ -27,7 +27,11 @@ over one grid builds it once.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -95,8 +99,8 @@ class PowerMap:
             raise ValueError("grid axes must be strictly increasing")
         if p.shape != (el.size, az.size):
             raise ValueError("power must have shape (n_el, n_az)")
-        if p.min() < 0:
-            raise ValueError("power values must be >= 0")
+        if not np.isfinite(p).all() or p.min() < 0:
+            raise ValueError("power values must be finite and >= 0")
         object.__setattr__(self, "azimuth_deg", az)
         object.__setattr__(self, "elevation_deg", el)
         object.__setattr__(self, "power", p)
@@ -305,35 +309,205 @@ def doa_peaks(pmap: PowerMap, max_peaks: int = 1, min_separation_deg: float = 0.
 # -- exports -----------------------------------------------------------------
 
 
+_CSV_BLOCK_CELLS = 16384  # grid nodes per write in save_power_map_csv; bounds its temporaries
+_WORD = np.dtype("<u8")  # up to 8 ASCII bytes of a field, the first in the low byte
+
+
 def save_power_map_csv(pmap: PowerMap, path) -> None:
     """Rows of azimuth_deg, elevation_deg, power_linear, power_db.
 
-    Elevation-major, azimuth fastest; az, el and linear power as ``.10g``,
-    dB as ``.4f``, and a LF after every row, the last one included.  The
-    azimuths are formatted once into a row template, and each elevation
-    row is one ``%`` over its (el, power, dB) cells and one write.
+    Elevation-major, azimuth fastest; az, el and linear power as ``%.10g``,
+    dB as ``%.4f``, and a LF after every row, the last one included.  The
+    bytes are Python's own: ``_ascii_fields`` builds each field in numpy
+    from the correctly rounded decimal digits, which it can prove for
+    almost every value, and hands the rest to ``%``.
+
+    ``%.10g`` of x > 0 with decimal exponent e (10^e <= x < 10^(e+1)) is
+    the integer nearest m = x * 10^(9-e), laid out by e.  For |9-e| <= 22
+    the power of ten is an exact double, so m is one IEEE multiply or
+    divide and lies within ulp(1e10)/2 < 1e-6 of the exact product; unless
+    that product is within 2e-6 of a half-integer, rint(m) is the correct
+    rounding.  ``%.4f`` of v is rint(|v| * 1e4) the same way, with an error
+    below ulp(1e6)/2 < 1.2e-10 against a 1e-9 margin while it stays under
+    1e6.  Python ``%`` formats the rest: zero, subnormals, |9-e| > 22,
+    fractions within the margin of .5 (ties included), x that round up to
+    10^(e+1) (their exponent moves) and |v| >= 99.99995.  The rows go out
+    in blocks of at most about _CSV_BLOCK_CELLS nodes, each built as one
+    uint8 array of NUL-padded fields and written with the NULs dropped.
+    An existing file is overwritten in place (see ``_overwriting``).
     """
-    row_fmt = "".join(["%.10g,%%s%%.10g,%%.4f\n" % az for az in pmap.azimuth_deg.tolist()])
     n_az = pmap.azimuth_deg.size
-    cells = [None] * (3 * n_az)
-    with open(path, "w", newline="") as fh:
-        fh.write("azimuth_deg,elevation_deg,power_linear,power_db\n")
-        for el, powers, dbs in zip(pmap.elevation_deg.tolist(), pmap.power, pmap.to_db()):
-            cells[0::3] = ["%.10g," % el] * n_az
-            cells[1::3] = powers.tolist()
-            cells[2::3] = dbs.tolist()
-            fh.write(row_fmt % tuple(cells))
+    az, el = (_ascii_fields(axis, "%.10g") for axis in (pmap.azimuth_deg, pmap.elevation_deg))
+    az[:, -1] = el[:, -1] = ord(",")
+    # each row starts with the LF that ends the row before it
+    az = np.column_stack([np.full(n_az, ord("\n"), np.uint8), az[:, az.any(axis=0)]])
+    el = el[:, el.any(axis=0)]
+    db = pmap.to_db()
+    n_el = pmap.elevation_deg.size
+    step = math.ceil(n_el / math.ceil(n_el * n_az / _CSV_BLOCK_CELLS))  # rows per block
+    with _overwriting(path) as fh:
+        fh.write(b"azimuth_deg,elevation_deg,power_linear,power_db")
+        for i in range(0, n_el, step):
+            rows = slice(i, i + step)
+            shape = pmap.power[rows].shape
+            power = _ascii_fields(pmap.power[rows], "%.10g")
+            power[:, -1] = ord(",")
+            lines = np.concatenate([np.broadcast_to(az, shape + az.shape[1:]),
+                                    np.broadcast_to(el[rows, None], shape + el.shape[1:]),
+                                    power.reshape(shape + (-1,)),
+                                    _ascii_fields(db[rows], "%.4f").reshape(shape + (-1,))],
+                                   axis=2)
+            fh.write(lines.tobytes().translate(None, b"\0"))
+        fh.write(b"\n")
+
+
+def _ascii_fields(values, fmt: str) -> np.ndarray:
+    """``fmt % v`` for each finite v, ``fmt`` being "%.10g" or "%.4f".
+
+    Row i of the (n, width) uint8 result, with its NUL bytes dropped, is
+    the ASCII of ``fmt % values[i]``; for "%.10g" the last byte of every
+    row is NUL, free for a separator.  save_power_map_csv states which
+    values take the numpy path.
+    """
+    if fmt not in _FIELD_WORDS:
+        raise ValueError(f"unsupported format {fmt!r}")
+    v = np.asarray(values, dtype=float).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # on values % formats
+        words, fast = _FIELD_WORDS[fmt](np.abs(v), np.signbit(v), _format_tables())
+    slow = np.flatnonzero(~fast)
+    text = [(fmt % x).encode("ascii") for x in v[slow].tolist()]
+    width = max([len(b) for b in text], default=0)  # at most 17 for "%.10g"
+    if width > 8 * words.shape[1]:
+        words = np.pad(words, ((0, 0), (0, -(-width // 8) - words.shape[1])))
+    out = words.view(np.uint8)
+    out[slow] = 0
+    for i, b in zip(slow.tolist(), text):
+        out[i, :len(b)] = np.frombuffer(b, np.uint8)
+    return out
+
+
+def _g10_words(a: np.ndarray, neg: np.ndarray, t) -> tuple:
+    """``%.10g`` of sign ``neg`` and magnitude ``a`` as four words per value
+    (sign and "0.000" prefix, digits 1-5, digits 6-10, exponent; byte 7 of
+    the last is free), and the mask of the values formatted exactly."""
+    fast = (a >= 1e-13) & (a < 1e32)  # |9 - e| <= 22; no zero, subnormal, inf or NaN
+    i = np.floor(np.log10(np.where(fast, a, 1.0))).astype(np.intp).clip(-13, 31) + 13
+    m = a * t.up[i] / t.down[i]  # one of the two is 1.0
+    r = np.rint(m)
+    # m >= 1e9 guards e against log10 rounding up; a round-up to the next
+    # power of ten, which moves e, takes the % path
+    fast &= (m >= 1e9) & (r < 1e10) & (np.abs(m - r) < 0.5 - 2e-6)
+    hi, lo = np.divmod(np.where(fast, r, 1e9).astype(np.intp), 100_000)
+    key = 10 * i + np.where(lo == 0, t.zeros[hi] + 5, t.zeros[lo])  # trailing zero digits
+    words = np.empty((a.size, 4), _WORD)
+    words[:, 0] = t.prefixes[2 * i + neg]
+    words[:, 3] = t.suffixes[i]
+    for col, part, (low, high, point) in ((1, hi, t.layout[0]), (2, lo, t.layout[1])):
+        digits = t.digits[part]
+        words[:, col] = (digits & low[key]) | point[key] \
+            | ((digits & high[key]) << _WORD.type(8))
+    return words, fast
+
+
+def _f4_words(a: np.ndarray, neg: np.ndarray, t) -> tuple:
+    """``%.4f`` of sign ``neg`` and magnitude ``a`` as one word per value,
+    and the mask of the values formatted exactly."""
+    m = a * 1e4
+    r = np.rint(m)
+    fast = (r < 1e6) & (np.abs(m - r) < 0.5 - 1e-9)
+    whole, frac = np.divmod(np.where(fast, r, 0.0).astype(np.intp), 10_000)
+    return (t.units[whole + 100 * neg] | t.decimals[frac])[:, None], fast
+
+
+_FIELD_WORDS = {"%.10g": _g10_words, "%.4f": _f4_words}
+
+
+def _word(text: str) -> int:
+    return int.from_bytes(text.encode("ascii").ljust(8, b"\0"), "little")
+
+
+@lru_cache(maxsize=None)
+def _format_tables() -> SimpleNamespace:
+    """Lookup tables of _ascii_fields, built once in a few milliseconds.
+
+    For ``%.10g``, with e the decimal exponent and i = e + 13 (e from -13
+    to 31): digits[n], the five digits of n < 100000 as a word;
+    zeros[n], its trailing zero digits; up[i] = 10^(9-e) for e <= 9 and
+    down[i] = 10^(e-9) for e > 9, exact doubles, the other 1.0;
+    prefixes[2i + negative], the sign then "0." and -e-1 zeros when
+    -4 <= e < 0; suffixes[i], "e+XX" when e is outside [-4, 9].
+    layout[k][:, 10i + z], for digit word k and z trailing zero digits,
+    holds the (low, high, point) masks that drop trailing fraction zeros
+    and put the point before high: word = (digits & low) | point |
+    ((digits & high) << 8).  For ``%.4f``: units[100 * negative + w], "-w."
+    in bytes 0-3; decimals[f], the four digits of f in bytes 4-7.
+    """
+    # axis k of the (10,) * 5 grid is the k-th of five digits
+    place = [np.arange(10).reshape([-1 if j == k else 1 for j in range(5)]) for k in range(5)]
+    digits = np.zeros((10,) * 5 + (8,), np.uint8)
+    zeros = np.zeros((10,) * 5, np.uint8)
+    for k in range(5):
+        digits[..., k] = 48 + place[k]
+        zeros = (place[k] == 0) * (zeros + 1)  # trailing zeros: reset by a nonzero digit
+    digits = digits.reshape(-1, 8).view(_WORD).ravel()
+    exponents = range(-13, 32)
+    layout = []
+    for e in exponents:
+        n_int = e + 1 if 0 <= e <= 9 else int(e > 9 or e < -4)  # digits before the point
+        for z in range(10):
+            n_out = max(10 - z, n_int)
+            masks = []
+            for first in (0, 5):
+                keep = (1 << 8 * min(max(n_out - first, 0), 5)) - 1
+                at = 8 * min(max(n_int - first, 0), 5)
+                low = keep & ((1 << at) - 1)
+                point = 46 << at if n_out > n_int and first < n_int <= first + 5 else 0
+                masks += [low, keep - low, point]
+            layout.append(masks)
+    layout = np.array(layout, _WORD).T.reshape(2, 3, -1)
+    tables = SimpleNamespace(
+        digits=digits, zeros=zeros.ravel(), layout=layout,
+        up=10.0 ** np.maximum(9 - np.arange(-13, 32), 0),
+        down=10.0 ** np.maximum(np.arange(-13, 32) - 9, 0),
+        prefixes=np.array([_word("-" * neg + ("0." + "0" * (-e - 1) if -4 <= e < 0 else ""))
+                           for e in exponents for neg in (0, 1)], _WORD),
+        suffixes=np.array([_word("" if -4 <= e <= 9 else "e%+03d" % e) for e in exponents],
+                          _WORD),
+        units=np.array([_word("-" * neg + f"{w}.") for neg in (0, 1) for w in range(100)],
+                       _WORD),
+        decimals=(digits[:10_000] >> _WORD.type(8)) << _WORD.type(32))
+    for table in vars(tables).values():
+        table.flags.writeable = False  # shared by every call
+    return tables
+
+
+@contextmanager
+def _overwriting(path):
+    """A binary file that replaces the bytes at ``path`` once it is closed.
+
+    The file is opened without truncation, written from its start and cut
+    to the written length on a clean exit.  Truncating to zero on open
+    makes a file system such as ext4 flush the file when it is closed,
+    and truncating a file whose previous version is still being written
+    back waits for that disk I/O; a map rewritten every few tens of
+    milliseconds pays both on most writes.  A write that fails part way
+    leaves the rest of the previous version after the new bytes.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        yield fh
+        fh.truncate()
 
 
 def save_power_map_pgm(pmap: PowerMap, path, metadata: dict | None = None) -> None:
     """8-bit binary PGM, dB-mapped (-80..0 dB to 0..255), top row = highest
     elevation.  A ``<path>.meta.txt`` sidecar records the grid and any
-    extra metadata passed in."""
+    extra metadata passed in.  Existing files are overwritten in place
+    (see ``_overwriting``)."""
     db = pmap.to_db()
     pixels = np.round((db - DB_FLOOR) / (-DB_FLOOR) * 255.0)
     pixels = np.clip(pixels, 0, 255).astype(np.uint8)[::-1, :]
     height, width = pixels.shape
-    with open(path, "wb") as fh:
+    with _overwriting(path) as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
     sidecar = {
@@ -348,6 +522,5 @@ def save_power_map_pgm(pmap: PowerMap, path, metadata: dict | None = None) -> No
     }
     if metadata:
         sidecar.update({k: str(v) for k, v in metadata.items()})
-    with open(f"{path}.meta.txt", "w") as fh:
-        for key, value in sidecar.items():
-            fh.write(f"{key} = {value}\n")
+    with _overwriting(f"{path}.meta.txt") as fh:
+        fh.write("".join(f"{key} = {value}\n" for key, value in sidecar.items()).encode())

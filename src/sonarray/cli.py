@@ -354,14 +354,19 @@ def cmd_simulate(args, extra) -> int:
     noise_db = cfg.get_float("simulate.noise_db")
     seed = cfg.get_int("seed", minimum=0)
     n_pings = int(duration * sensor.ping_hz + 1e-9)
+    try:  # ping 0 before any output, so a target no window can hold exits 2
+        first = pipeline.acquire_window(sensor, target, noise_db, seed)
+    except ValueError as exc:
+        raise ConfigError("simulate.range_m", "no ping can be synthesized with "
+                          f"simulate.strength and simulate.noise_db as set: {exc}") from None
     out = _out_dir(args)
     waveform.save_trace_csv(sensor.chirp, out / "transmit.csv")
+    if n_pings:
+        waveform.save_trace_csv(first[0].channels[0], out / "received.csv")
     with open(out / "stream.bin", "wb") as fh:
         for ping in range(n_pings):
-            capture, payloads = pipeline.acquire_window(sensor, target, noise_db,
-                                                        seed + 64 * ping)
-            if ping == 0:
-                waveform.save_trace_csv(capture.channels[0], out / "received.csv")
+            _, payloads = first if ping == 0 else pipeline.acquire_window(
+                sensor, target, noise_db, seed + 64 * ping)
             for frame in pipeline.frame_window(sensor, payloads, ping):
                 fh.write(framing.encode_frame(frame))
     print(f"simulate: {n_pings} ping(s) written to stream.bin")

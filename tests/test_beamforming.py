@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sonarray.beamforming import (GridSpec, PowerMap, _scan_steering, doa_peaks,
-                                  grid_powers, power_map, psf,
+from sonarray.beamforming import (GridSpec, PowerMap, _ascii_fields, _f4_words,
+                                  _format_tables, _g10_words, _scan_steering,
+                                  doa_peaks, grid_powers, power_map, psf,
                                   psf_metrics, save_power_map_csv,
                                   save_power_map_pgm)
 from sonarray.errors import NoPeakError, SingularMatrixError
@@ -235,6 +238,12 @@ class TestPowerMap:
                 assert np.array_equal(grid_powers(R, layout, bf, loading),
                                       grid_powers(R, np.ascontiguousarray(layout), bf, loading))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_power_map_rejects_non_finite_or_negative_power(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            PowerMap(azimuth_deg=np.arange(2.0), elevation_deg=np.zeros(1),
+                     power=[[bad, 1.0]])
+
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError, match="az_step"):
             GridSpec(az_step_deg=0.0)
@@ -362,6 +371,10 @@ class TestExports:
         pmap = PowerMap(azimuth_deg=az, elevation_deg=el, power=power)
         assert (pmap.to_db() == -80.0).sum() > 1
         assert_same_csv_bytes(pmap, tmp_path)
+        # exponent notation, a round-up into fixed notation, and a peak so
+        # large that its exponent takes the % path next to numpy-built cells
+        power[2, :3] = [1e10, 9.99999999995e-05, 1e300]
+        assert_same_csv_bytes(PowerMap(azimuth_deg=az, elevation_deg=el, power=power), tmp_path)
 
     def test_csv_and_pgm(self, tmp_path, geometry):
         R = covariance_analytic(geometry, single_source_scene(Direction(0, 0)), FREQ, C)
@@ -380,6 +393,21 @@ class TestExports:
         sidecar = (tmp_path / "map.pgm.meta.txt").read_text()
         assert "beamformer = bartlett" in sidecar
 
+    def test_exports_over_a_longer_file_hold_only_the_new_bytes(self, tmp_path, geometry):
+        R = covariance_analytic(geometry, single_source_scene(Direction(0, 0)), FREQ, C)
+        big, small = (power_map(geometry, R, GridSpec(az_start_deg=-span, az_stop_deg=span,
+                                                      el_start_deg=-span, el_stop_deg=span),
+                                FREQ, C) for span in (20, 3))
+        (tmp_path / "fresh").mkdir()
+        for out, maps in ((tmp_path, (big, small)), (tmp_path / "fresh", (small,))):
+            for pmap in maps:
+                save_power_map_csv(pmap, out / "map.csv")
+                save_power_map_pgm(pmap, out / "map.pgm",
+                                   metadata={"note": "x" * pmap.power.size})
+        for name in ("map.csv", "map.pgm", "map.pgm.meta.txt"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        assert_same_csv_bytes(small, tmp_path)  # fast.csv again, over a longer file
+
     def test_db_floor(self, geometry):
         R = covariance_analytic(geometry, single_source_scene(Direction(0, 0), 1.0, 1e-12),
                                 FREQ, C)
@@ -388,3 +416,57 @@ class TestExports:
         db = pmap.to_db()
         assert db.max() == 0.0
         assert db.min() >= -80.0
+
+
+def ascii_field(value, fmt):
+    """One value through _ascii_fields, NULs dropped."""
+    row = _ascii_fields(np.array([value]), fmt)[0]
+    if fmt == "%.10g":
+        assert row[-1] == 0  # free for the separator
+    return row[row != 0].tobytes()
+
+
+class TestAsciiFields:
+    @given(st.floats(allow_infinity=False, allow_nan=False))  # axes are signed
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @example(1e-5)
+    @example(9.99999999995e-05)  # rounds up into fixed notation: 0.0001
+    @example(1e-4)
+    @example(1e10)
+    @example(9999999999.5)  # rounds up to the next power of ten
+    @example(0.0056063946225)  # x * 1e12 rounds to a tie the exact product is above
+    @example(0.0)
+    @example(5e-324)
+    @example(1e300)
+    def test_g10_matches_python(self, x):
+        assert ascii_field(x, "%.10g") == (b"%.10g" % x)
+
+    @given(st.floats(allow_infinity=False, allow_nan=False))
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @example(-0.0)
+    @example(-1e-9)  # -0.0000
+    @example(-0.03125)  # a tie at the fifth decimal, rounded to even
+    @example(0.80175)  # v * 1e4 rounds to a tie the exact product is below
+    @example(99.99995)
+    @example(-80.0)
+    def test_f4_matches_python(self, v):
+        assert ascii_field(v, "%.4f") == (b"%.4f" % v)
+
+    @given(st.lists(st.floats(allow_infinity=False, allow_nan=False), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_rows_keep_their_own_layout(self, values):
+        # mixed exponents and fallbacks in one array share the columns
+        for fmt in ("%.10g", "%.4f"):
+            rows = _ascii_fields(np.array(values), fmt)
+            assert [row[row != 0].tobytes() for row in rows] == \
+                [(fmt % x).encode() for x in values]
+
+    @pytest.mark.parametrize("bf, loading", [("bartlett", 0.0), ("mvdr", 1e-3)])
+    def test_stock_map_cells_take_the_numpy_path(self, geometry, bf, loading):
+        # Python % formats only the few cells the numpy path cannot prove
+        pmap, _ = psf(geometry, Direction(-37, 12), 1.0, 0.01, GridSpec(), FREQ, C,
+                      beamformer=bf, loading=loading)
+        for words, values in ((_g10_words, pmap.power), (_f4_words, pmap.to_db())):
+            a = np.abs(values.ravel())
+            _, fast = words(a, np.signbit(values.ravel()), _format_tables())
+            assert fast.mean() > 0.999
