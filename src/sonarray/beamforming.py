@@ -35,7 +35,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
-import scipy.ndimage
 
 from .errors import NoPeakError, SingularMatrixError
 from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
@@ -90,9 +89,9 @@ class PowerMap:
     power: np.ndarray
 
     def __post_init__(self):
-        az = np.asarray(self.azimuth_deg, dtype=float)
-        el = np.asarray(self.elevation_deg, dtype=float)
-        p = np.asarray(self.power, dtype=float)
+        az = np.array(self.azimuth_deg, dtype=float)
+        el = np.array(self.elevation_deg, dtype=float)
+        p = np.array(self.power, dtype=float)
         if az.ndim != 1 or el.ndim != 1:
             raise ValueError("grid axes must be 1-D")
         if np.any(np.diff(az) <= 0) or (el.size > 1 and np.any(np.diff(el) <= 0)):
@@ -101,17 +100,24 @@ class PowerMap:
             raise ValueError("power must have shape (n_el, n_az)")
         if not np.isfinite(p).all() or p.min() < 0:
             raise ValueError("power values must be finite and >= 0")
-        object.__setattr__(self, "azimuth_deg", az)
-        object.__setattr__(self, "elevation_deg", el)
-        object.__setattr__(self, "power", p)
+        for name, value in (("azimuth_deg", az), ("elevation_deg", el), ("power", p)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def to_db(self) -> np.ndarray:
-        """Map relative to its peak, floored at DB_FLOOR; peak maps to 0 dB."""
-        peak = self.power.max()
-        if peak <= 0:
-            return np.full_like(self.power, DB_FLOOR)
-        ratio = np.maximum(self.power / peak, 10.0 ** (DB_FLOOR / 10.0))
-        return 10.0 * np.log10(ratio)
+        """Map relative to its peak, floored at DB_FLOOR; peak maps to 0 dB.
+        Computed on the first call; later calls return the same read-only
+        array."""
+        db = self.__dict__.get("_db")
+        if db is None:
+            peak = self.power.max()
+            if peak <= 0:
+                db = np.full_like(self.power, DB_FLOOR)
+            else:
+                db = 10.0 * np.log10(np.maximum(self.power / peak, 10.0 ** (DB_FLOOR / 10.0)))
+            db.flags.writeable = False
+            object.__setattr__(self, "_db", db)
+        return db
 
 
 @dataclass(frozen=True)
@@ -235,12 +241,44 @@ def _axis_width(axis: np.ndarray, line: np.ndarray, peak_idx: int, threshold: fl
     return float(cross(+1) - cross(-1))
 
 
+def _local_maxima(pmap: PowerMap) -> tuple:
+    """Local maxima as (power, azimuth, elevation) arrays in descending
+    power, ties by lower azimuth, then lower elevation.
+
+    A cell qualifies when strictly above all its in-grid 8 neighbours, so
+    plateaus yield nothing.  An el = +-90 row is one direction whose cells
+    differ only by rounding: its highest cell stands for it, and qualifies
+    when strictly above every cell of the next row.  For an array in the
+    z = 0 plane the response is symmetric about az = +-90, so a maximum on
+    that edge is a real lobe; on a grid cut short of +-90, an edge maximum
+    may be the flank of a lobe outside the grid.
+    """
+    P = pmap.power
+    padded = np.pad(P, 1, constant_values=-np.inf)
+    # row3: the max of each cell and the two beside it; a cell's 8
+    # neighbours are row3 above and below it and the two cells beside it
+    row3 = np.maximum(np.maximum(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
+    neighbor_max = np.maximum(np.maximum(row3[:-2], row3[2:]),
+                              np.maximum(padded[1:-1, :-2], padded[1:-1, 2:]))
+    is_max = P > neighbor_max
+    for i in np.flatnonzero(np.abs(pmap.elevation_deg) == 90.0):
+        j = P[i].argmax()
+        is_max[i] = False
+        is_max[i, j] = P[i, j] > np.vstack((P[i - 1:i], P[i + 1:i + 2])).max(initial=-np.inf)
+    i, j = np.divmod(np.flatnonzero(is_max), P.shape[1])
+    power, az, el = P[i, j], pmap.azimuth_deg[j], pmap.elevation_deg[i]
+    order = np.lexsort((el, az, -power))
+    return power[order], az[order], el[order]
+
+
 def psf_metrics(pmap: PowerMap) -> PsfMetrics:
     """Peak location, -3 dB main-lobe widths, and peak sidelobe level.
 
-    The main lobe is the 4-connected region above half the peak power
-    that contains the peak; the sidelobe level is the largest power
-    outside it, in dB relative to the peak.
+    The sidelobe level is the highest local maximum other than the peak,
+    in dB relative to the peak, or -inf when there is none.  A local
+    maximum is a cell strictly above all its in-grid 8 neighbours; an
+    el = +-90 row counts as one direction, and cells on the az = +-90
+    edges count as lobes (see ``_local_maxima``).
     """
     P = pmap.power
     peak = P.max()
@@ -251,59 +289,28 @@ def psf_metrics(pmap: PowerMap) -> PsfMetrics:
         raise NoPeakError(f"power map has {len(peak_cells)} equal maxima")
     i, j = (int(v) for v in peak_cells[0])
     threshold = 0.5 * peak
-
-    width_az = _axis_width(pmap.azimuth_deg, P[i, :], j, threshold)
-    width_el = _axis_width(pmap.elevation_deg, P[:, j], i, threshold)
-
-    labels, _ = scipy.ndimage.label(P >= threshold)
-    outside = P[labels != labels[i, j]]
-    if outside.size == 0 or outside.max() <= 0:
-        sidelobe_db = -math.inf
-    else:
-        sidelobe_db = 10.0 * math.log10(outside.max() / peak)
-
+    sidelobes = _local_maxima(pmap)[0]
+    sidelobes = sidelobes[sidelobes < peak]
     return PsfMetrics(
         peak_direction=Direction(float(pmap.azimuth_deg[j]), float(pmap.elevation_deg[i])),
-        mainlobe_width_az_deg=width_az,
-        mainlobe_width_el_deg=width_el,
-        peak_sidelobe_db=min(sidelobe_db, 0.0),
+        mainlobe_width_az_deg=_axis_width(pmap.azimuth_deg, P[i, :], j, threshold),
+        mainlobe_width_el_deg=_axis_width(pmap.elevation_deg, P[:, j], i, threshold),
+        peak_sidelobe_db=10.0 * math.log10(sidelobes[0] / peak) if sidelobes.size else -math.inf,
     )
 
 
 def doa_peaks(pmap: PowerMap, max_peaks: int = 1, min_separation_deg: float = 0.0) -> list:
-    """Local maxima in descending power with greedy neighbor suppression.
-
-    A cell qualifies when strictly greater than all 8 neighbors, so
-    plateaus (including constant maps) yield nothing.  Ties order by
-    (lower azimuth, lower elevation); suppression uses Euclidean distance
-    in (azimuth, elevation) degrees.
-    """
+    """Local maxima (see ``_local_maxima``) in descending power, with greedy
+    suppression by Euclidean distance in (azimuth, elevation) degrees."""
     if max_peaks < 1:
         raise ValueError("max_peaks must be >= 1")
-    P = pmap.power
-    H, W = P.shape
-    padded = np.full((H + 2, W + 2), -np.inf)
-    padded[1:-1, 1:-1] = P
-    neighbor_max = np.full_like(P, -np.inf)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neighbor_max = np.maximum(neighbor_max,
-                                      padded[1 + di:H + 1 + di, 1 + dj:W + 1 + dj])
-    cells = np.argwhere(P > neighbor_max)
-    candidates = sorted(
-        ((float(P[i, j]), float(pmap.azimuth_deg[j]), float(pmap.elevation_deg[i]))
-         for i, j in cells),
-        key=lambda t: (-t[0], t[1], t[2]))
     picked = []
-    for p, az, el in candidates:
+    for p, az, el in zip(*(a.tolist() for a in _local_maxima(pmap))):
         if len(picked) >= max_peaks:
             break
-        if any(math.hypot(az - a, el - e) < min_separation_deg for _, a, e in picked):
-            continue
-        picked.append((p, az, el))
-    return [(Direction(az, el), float(p)) for p, az, el in picked]
+        if all(math.hypot(az - a, el - e) >= min_separation_deg for _, a, e in picked):
+            picked.append((p, az, el))
+    return [(Direction(az, el), p) for p, az, el in picked]
 
 
 # -- exports -----------------------------------------------------------------

@@ -357,6 +357,13 @@ def cmd_simulate(args, extra) -> int:
     try:  # ping 0 before any output, so a target no window can hold exits 2
         first = pipeline.acquire_window(sensor, target, noise_db, seed)
     except ValueError as exc:
+        try:  # ping 0 without noise tells whether the noise is the cause
+            pipeline.acquire_window(sensor, target, math.inf, seed)
+        except ValueError:
+            pass
+        else:
+            raise ConfigError("simulate.noise_db", "ping 0 can be synthesized only "
+                              f"without noise: {exc}") from None
         raise ConfigError("simulate.range_m", "no ping can be synthesized with "
                           f"simulate.strength and simulate.noise_db as set: {exc}") from None
     out = _out_dir(args)

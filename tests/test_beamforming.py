@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sonarray.beamforming import (GridSpec, PowerMap, _ascii_fields, _f4_words,
-                                  _format_tables, _g10_words, _scan_steering,
-                                  doa_peaks, grid_powers, power_map, psf,
-                                  psf_metrics, save_power_map_csv,
+                                  _format_tables, _g10_words, _local_maxima,
+                                  _scan_steering, doa_peaks, grid_powers, power_map,
+                                  psf, psf_metrics, save_power_map_csv,
                                   save_power_map_pgm)
 from sonarray.errors import NoPeakError, SingularMatrixError
 from sonarray.geometry import (Direction, build_uniform_circular_array,
@@ -244,6 +245,17 @@ class TestPowerMap:
             PowerMap(azimuth_deg=np.arange(2.0), elevation_deg=np.zeros(1),
                      power=[[bad, 1.0]])
 
+    def test_holds_read_only_copies_of_the_callers_arrays(self):
+        az, el, power = np.arange(3.0), np.arange(2.0), np.ones((2, 3))
+        pmap = PowerMap(azimuth_deg=az, elevation_deg=el, power=power)
+        az[0] = el[0] = power[0, 0] = math.nan
+        assert np.isfinite(pmap.power).all()
+        assert pmap.azimuth_deg[0] == pmap.elevation_deg[0] == 0.0
+        assert pmap.to_db() is pmap.to_db()  # computed once, shared by the exports
+        for array in (pmap.azimuth_deg, pmap.elevation_deg, pmap.power, pmap.to_db()):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError, match="az_step"):
             GridSpec(az_step_deg=0.0)
@@ -268,6 +280,7 @@ class TestPsfMetrics:
         assert abs(metrics.mainlobe_width_az_deg - fwhm) <= 0.5
         assert abs(metrics.mainlobe_width_el_deg - fwhm) <= 0.5
         assert metrics.peak_direction == Direction(0.0, 0.0)
+        assert metrics.peak_sidelobe_db == -math.inf  # one lobe, no other maximum
 
     def test_constant_map_has_no_peak(self):
         pmap = PowerMap(azimuth_deg=np.arange(5.0), elevation_deg=np.arange(5.0),
@@ -295,6 +308,14 @@ class TestPsfMetrics:
             assert metrics.mainlobe_width_az_deg > 0
             assert metrics.mainlobe_width_el_deg > 0
 
+    def test_boresight_bartlett_sidelobe_is_the_j0_ring(self, geometry):
+        # a ring's boresight pattern is J0(k a sin theta); its first
+        # sidelobe peaks where J0' = -J1 = 0
+        _, metrics = psf(geometry, Direction(0, 0), 1.0, 0.0, GridSpec(), FREQ, C)
+        j11 = scipy.special.jn_zeros(1, 1)[0]
+        ring = 20.0 * math.log10(abs(scipy.special.j0(j11)))  # -7.8991 dB
+        assert abs(metrics.peak_sidelobe_db - ring) <= 0.01
+
     def test_mvdr_beats_bartlett_metrics(self, geometry):
         grid = GridSpec()
         _, bartlett = psf(geometry, Direction(30, 0), 1.0, 0.01, grid, FREQ, C,
@@ -306,7 +327,59 @@ class TestPsfMetrics:
         assert mvdr.peak_sidelobe_db < bartlett.peak_sidelobe_db
 
 
+def per_cell_maxima(pmap):
+    """Reference local maxima: (power, az, el) of every cell strictly above
+    all its in-grid 8 neighbours and, for an el = +-90 row (one direction),
+    of its first highest cell when strictly above every cell of the next
+    row; in descending power, then ascending azimuth and elevation."""
+    P = pmap.power.tolist()
+    H, W = len(P), len(P[0])
+    found = []
+    for i in range(H):
+        if abs(pmap.elevation_deg[i]) == 90.0:
+            j = P[i].index(max(P[i]))
+            candidates = [(j, [(a, b) for a in (i - 1, i + 1) if 0 <= a < H
+                               for b in range(W)])]
+        else:
+            candidates = [(j, [(a, b) for a in range(max(i - 1, 0), min(i + 2, H))
+                               for b in range(max(j - 1, 0), min(j + 2, W)) if (a, b) != (i, j)])
+                          for j in range(W)]
+        for j, around in candidates:
+            if all(P[i][j] > P[a][b] for a, b in around):
+                found.append((P[i][j], float(pmap.azimuth_deg[j]),
+                              float(pmap.elevation_deg[i])))
+    return sorted(found, key=lambda t: (-t[0], t[1], t[2]))
+
+
+class TestLocalMaxima:
+    @pytest.mark.parametrize("bf", ["bartlett", "mvdr"])
+    @pytest.mark.parametrize("source", [(0, 0), (30, 0), (-45, -15)])
+    def test_stock_maps_match_per_cell_reference(self, geometry, source, bf):
+        pmap, metrics = psf(geometry, Direction(*source), 1.0, 0.01, GridSpec(), FREQ, C,
+                            beamformer=bf)
+        reference = per_cell_maxima(pmap)
+        assert list(zip(*(a.tolist() for a in _local_maxima(pmap)))) == reference
+        peaks = doa_peaks(pmap, max_peaks=len(reference))
+        assert [(p, d.azimuth_deg, d.elevation_deg) for d, p in peaks] == reference
+        (peak, *_), (sidelobe, *_) = reference[:2]
+        assert metrics.peak_sidelobe_db == pytest.approx(10.0 * math.log10(sidelobe / peak),
+                                                         abs=1e-12)
+
+
 class TestDoaPeaks:
+    @pytest.mark.parametrize("bf", ["bartlett", "mvdr"])
+    @pytest.mark.parametrize("el", [90.0, -90.0, 89.7])
+    def test_source_at_a_pole_is_found_at_the_pole(self, geometry, el, bf):
+        # each el = +-90 row is one direction; its cells differ by rounding,
+        # so the strict 8-neighbour rule alone would miss a pole source
+        R = covariance_analytic(geometry, single_source_scene(Direction(0, el), 1.0, 0.01),
+                                FREQ, C)
+        pmap = power_map(geometry, R, GridSpec(), FREQ, C, beamformer=bf)
+        (top, power), = doa_peaks(pmap)
+        assert top.elevation_deg == math.copysign(90.0, el)
+        assert power == pmap.power.max()
+        assert list(zip(*(a.tolist() for a in _local_maxima(pmap)))) == per_cell_maxima(pmap)
+
     def test_single_source_yields_one_dominant_peak(self, geometry):
         R = covariance_analytic(geometry, single_source_scene(Direction(10, -5), 1.0, 0.01),
                                 FREQ, C)

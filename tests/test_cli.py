@@ -386,6 +386,7 @@ class TestBadConfigValues:
         ("simulate", "simulate.azimuth_deg", "120"),
         ("simulate", "simulate.range_m", "9"),  # echo past the ping window
         ("simulate", "simulate.range_m", "0.45"),  # echo above full scale
+        ("simulate", "simulate.noise_db", "-20"),  # noise above full scale
         ("psf", "psf.noise_power", "-1"),
         ("psf", "beamformer.loading", "-1"),
         ("psf", "psf.power", "inf"),

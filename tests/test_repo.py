@@ -94,3 +94,31 @@ def test_every_config_key_is_read():
                         if isinstance(node, ast.Constant) and isinstance(node.value, str)
                         and id(node) not in table)
     assert sorted(set(DEFAULTS) - literals) == []
+
+
+def test_every_top_level_import_is_used():
+    # a name a package module imports at top level must be referenced in
+    # that module, and "import a.b" by its dotted name a.b, so a deleted
+    # code path cannot leave its import behind
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+    unused = []
+    for path in sorted((ROOT / "src" / "sonarray").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = [alias.asname or alias.name
+                    for statement in tree.body
+                    if isinstance(statement, (ast.Import, ast.ImportFrom))
+                    and getattr(statement, "module", None) != "__future__"
+                    for alias in statement.names]
+        referenced = {dotted(node) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Name, ast.Attribute))}
+        unused += [f"{path.relative_to(ROOT)}: {name}" for name in imported
+                   if name not in referenced]
+    assert unused == []
