@@ -31,7 +31,7 @@ from . import _kernels
 from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
                        direction_unit_vector)
 from .signalmodel import SnapshotBlock
-from .waveform import DEFAULT_SAMPLE_RATE_HZ, PcmTrace
+from .waveform import PcmTrace
 
 PDM_RATE_HZ = 4_450_000
 DECIMATION_FACTOR = 16
@@ -55,7 +55,6 @@ SDM_DITHER_AMPLITUDE = 1e-3
 DEMOD_CUTOFF_HZ = 10_000.0
 DEMOD_NUMTAPS = 129
 
-assert PDM_RATE_HZ == DECIMATION_FACTOR * DEFAULT_SAMPLE_RATE_HZ
 assert CHANNEL_COUNT * PDM_RATE_HZ < USB_LINK_BUDGET_BPS
 
 PDM_MAGIC = b"PDM1"

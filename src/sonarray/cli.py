@@ -25,7 +25,7 @@ from . import (__version__, acquisition, beamforming, framing, pipeline,
 from .errors import ConfigError, SonarrayError
 from .geometry import (Direction, build_uniform_circular_array,
                        load_geometry_csv)
-from .signalmodel import covariance_analytic, load_scene_file
+from .signalmodel import covariance_analytic, load_scene_file, parse_key_values
 from .waveform import ChirpSpec, generate_chirp
 
 DEFAULTS = {
@@ -51,7 +51,6 @@ DEFAULTS = {
     "chirp.f_start_hz": "36000",
     "chirp.f_end_hz": "44000",
     "chirp.duration_s": "0.003",
-    "chirp.sample_rate_hz": "278125",
     "chirp.window": "none",
     "simulate.azimuth_deg": "0",
     "simulate.elevation_deg": "0",
@@ -134,13 +133,17 @@ class Config:
             raise ConfigError.from_field("grid.", exc) from None
 
     def chirp_spec(self) -> ChirpSpec:
+        rate = self.get_float("decode.rate_hz", positive=True)
+        factor = self.get_int("decode.factor", minimum=2)
+        if factor > rate:  # a PCM rate below 1 Hz, or one no float holds
+            raise ConfigError("decode.factor", f"must be <= decode.rate_hz, got {factor}")
         try:
             return ChirpSpec(
                 f_start_hz=self.get_float("chirp.f_start_hz", positive=True),
                 f_end_hz=self.get_float("chirp.f_end_hz", positive=True),
                 duration_s=self.get_float("chirp.duration_s", positive=True),
-                sample_rate_hz=self.get_float("chirp.sample_rate_hz", positive=True))
-        except ValueError as exc:
+                sample_rate_hz=rate / factor)
+        except ValueError as exc:  # only a sweep edge at or above fs/2 gets here
             raise ConfigError.from_field("chirp.", exc) from None
 
     def target(self) -> acquisition.ReflectorTarget:
@@ -166,38 +169,29 @@ class Config:
                 "simulate.rate_hz", f"must be <= {1.0 / pipeline.WINDOW_S:g} so each "
                 f"{pipeline.WINDOW_S:g} s ping window ends before the next ping, "
                 f"got {ping_hz:g}")
-        return pipeline.Sensor(
-            geometry=self.geometry(),
-            chirp=generate_chirp(self.chirp_spec(), self.chirp_window()),
-            grid=self.grid(),
-            frequency_hz=self.get_float("frequency_hz", positive=True),
-            c_mps=self.get_float("c_mps", positive=True),
-            pdm_rate_hz=self.get_float("decode.rate_hz", positive=True),
-            factor=self.get_int("decode.factor", minimum=2),
-            ping_hz=ping_hz)
-
-
-def load_config_file(path) -> dict:
-    values = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}", "expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                values[key] = value
-    except OSError as exc:
-        raise ConfigError("config", str(exc)) from None
-    return values
+        spec = self.chirp_spec()
+        try:  # the arguments raise ConfigError; Sensor, a ValueError on the frame split
+            return pipeline.Sensor(
+                geometry=self.geometry(),
+                chirp=generate_chirp(spec, self.chirp_window()),
+                grid=self.grid(),
+                frequency_hz=(spec.f_start_hz + spec.f_end_hz) / 2,
+                c_mps=self.get_float("c_mps", positive=True),
+                pdm_rate_hz=self.get_float("decode.rate_hz", positive=True),
+                factor=self.get_int("decode.factor", minimum=2),
+                ping_hz=ping_hz)
+        except ValueError as exc:
+            raise ConfigError.from_field("decode.", exc) from None
 
 
 def build_config(args, extra_overrides) -> Config:
     values = {}
     if args.config:
-        values.update(load_config_file(args.config))
+        try:
+            with open(args.config) as fh:
+                values.update(parse_key_values(fh, args.config))
+        except OSError as exc:
+            raise ConfigError("config", str(exc)) from None
     for item in list(args.set or []) + list(extra_overrides):
         if "=" not in item:
             raise ConfigError("--set", f"expected key=value, got {item!r}")
@@ -497,10 +491,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    except SonarrayError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (SonarrayError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
 

@@ -39,8 +39,9 @@ MVDR_LOADING = 1e-3       # sample covariances from ~834 snapshots
 
 @dataclass(frozen=True, eq=False)
 class Sensor:
-    """What both ends of the chain agree on: the array, the probe, the
-    PDM clock and decimation factor, the ping rate and the scan grid."""
+    """What both ends of the chain agree on: the array, the probe (at the PCM
+    rate pdm_rate_hz / factor), the PDM clock and decimation factor, the ping
+    rate and the scan grid.  A window's PDM bits must split into whole frames."""
 
     geometry: ArrayGeometry
     chirp: waveform.PcmTrace
@@ -50,6 +51,12 @@ class Sensor:
     pdm_rate_hz: float
     factor: int
     ping_hz: float
+
+    def __post_init__(self):
+        bits = int(WINDOW_S * self.chirp.sample_rate_hz) * self.factor
+        if bits % FRAMES_PER_WINDOW:
+            raise ValueError(f"factor {self.factor} gives {bits} PDM bits per channel per "
+                             f"{WINDOW_S:g} s window, not {FRAMES_PER_WINDOW} whole frames")
 
     @property
     def ping_ticks(self) -> int:
@@ -76,12 +83,8 @@ def acquire_window(sensor: Sensor, target: acquisition.ReflectorTarget,
                               sample_rate_hz=trace.sample_rate_hz),
             sensor.pdm_rate_hz, rng_seed=noise_seed + ch, channel=ch).bits()
         for ch, trace in enumerate(capture.channels)])
-    spc, rest = divmod(bits.shape[1], FRAMES_PER_WINDOW)
-    if rest:
-        raise ValueError(f"{bits.shape[1]} bits per channel do not split into "
-                         f"{FRAMES_PER_WINDOW} frames")
-    payloads = [np.packbits(bits[:, f * spc:(f + 1) * spc]).tobytes()
-                for f in range(FRAMES_PER_WINDOW)]
+    payloads = [np.packbits(block).tobytes()
+                for block in np.split(bits, FRAMES_PER_WINDOW, axis=1)]
     return capture, payloads
 
 

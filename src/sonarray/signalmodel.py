@@ -92,10 +92,22 @@ def sample_covariance(block: SnapshotBlock) -> np.ndarray:
 
 # -- scene description files -------------------------------------------------
 #
-# Flat key-value text: "key = value" lines, "#" comments.  The desired
+# Flat key-value text (see parse_key_values).  The desired
 # source uses keys desired.azimuth_deg / desired.elevation_deg /
 # desired.power; every "interferer.azimuth_deg" line begins a new
 # interferer block.  Top-level keys: noise_power, frequency_hz, c_mps.
+
+
+def parse_key_values(lines, source: str):
+    """Stripped (key, value) of each "key = value" line of a config or
+    scene file, split on the first "="; "#" starts a comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}", "expected 'key = value'")
+        yield tuple(part.strip() for part in line.split("=", 1))
 
 
 def parse_scene_text(text: str, source: str = "<scene>") -> tuple:
@@ -104,13 +116,7 @@ def parse_scene_text(text: str, source: str = "<scene>") -> tuple:
     desired = {}
     interferers = []
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}", "expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for key, value in parse_key_values(text.splitlines(), source):
         try:
             number = float(value)
         except ValueError:

@@ -5,10 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from sonarray.acquisition import DECIMATION_FACTOR, PDM_RATE_HZ
 from sonarray.beamforming import GridSpec
 from sonarray.cli import DEFAULTS, Config, main
 from sonarray.framing import Frame, encode_frame, parse_stream
 from sonarray.geometry import default_circular_array, geometry_fingerprint
+from sonarray.waveform import ChirpSpec
 
 
 def run(argv):
@@ -60,7 +62,8 @@ class TestPsfCommand:
         assert "grid.az_step" in captured.err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        for key in ("grid.typo", "bench.duration_s", "simulate.channel"):
+        for key in ("grid.typo", "bench.duration_s", "simulate.channel",
+                    "chirp.sample_rate_hz"):
             rc = run(["psf", "--out", str(tmp_path), "--set", f"{key}=1"])
             assert rc == 2
             assert key in capsys.readouterr().err
@@ -185,8 +188,16 @@ class TestGeometryKeys:
         assert np.allclose(np.linalg.norm(g.elements, axis=1), 0.01)
 
     def test_default_is_stock_array(self):
-        assert (geometry_fingerprint(Config({}).geometry())
+        # the benchmark builds its stock sensor from Config({}) but records
+        # the geometry_sha256 of default_circular_array(), so the two agree
+        cfg = Config({})
+        assert (geometry_fingerprint(cfg.geometry())
                 == geometry_fingerprint(default_circular_array()))
+        assert cfg.chirp_spec() == ChirpSpec()  # 4 450 000 / 16 exactly
+        assert cfg.grid() == GridSpec()
+        sensor = cfg.sensor()
+        assert (sensor.pdm_rate_hz, sensor.factor, sensor.frequency_hz) == (
+            PDM_RATE_HZ, DECIMATION_FACTOR, 40_000)
 
     def test_csv_wins_over_circle_keys(self, tmp_path):
         path = tmp_path / "layout.csv"
@@ -277,13 +288,35 @@ class TestSimulateCommand:
         assert [row.split(",")[:2] for row in rows] == [["0", "0.000000"],
                                                         ["1", "0.100000"]]
 
-    def test_infinite_snr_is_a_noiseless_run(self, tmp_path):
-        rows = simulate_and_localize(tmp_path, "simulate.duration_s=0.1",
-                                     "simulate.noise_db=inf")
+    @pytest.mark.parametrize("setting", [
+        "simulate.noise_db=inf",  # a noiseless run
+        "decode.rate_hz=4450001",  # a PDM clock no multiple of 278 125 Hz
+    ])
+    def test_one_ping_localizes_at_boresight(self, tmp_path, setting):
+        rows = simulate_and_localize(tmp_path, "simulate.duration_s=0.1", setting)
         assert len(rows) == 1
         fields = rows[0].split(",")
         assert abs(float(fields[4]) - 1.0) <= 0.002
         assert (float(fields[7]), float(fields[8])) == (0.0, 0.0)
+
+    def test_pcm_rate_follows_the_decimation_factor(self, two_pings, tmp_path):
+        # the probe is resampled at decode.rate_hz / decode.factor, so a
+        # stock stream localizes at any factor that splits the window
+        out, _ = two_pings
+        assert run(["localize", str(out / "stream.bin"), "--out", str(tmp_path),
+                    "--set", "decode.factor=8"]) == 0
+        rows = [row.split(",") for row in (tmp_path / "ranges.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        assert all(abs(float(row[4]) - 1.0) <= 0.002 for row in rows)
+        assert all((float(row[7]), float(row[8])) == (0.0, 0.0) for row in rows)
+
+    def test_carrier_is_the_sweep_centre(self, tmp_path):
+        # a 26-34 kHz probe is demodulated and steered at 30 kHz, while
+        # frequency_hz stays at 40 kHz
+        rows = simulate_and_localize(
+            tmp_path, "simulate.duration_s=0.2", "chirp.f_start_hz=26000",
+            "chirp.f_end_hz=34000", "simulate.azimuth_deg=30", "simulate.elevation_deg=10")
+        assert [row.split(",")[7:] for row in rows] == [["30", "10"]] * 2
 
     def test_zero_duration_writes_header_only(self, tmp_path):
         assert simulate_and_localize(tmp_path, "simulate.duration_s=0") == []
@@ -371,6 +404,14 @@ class TestConfigFile:
         assert len(files) == 1
         assert "bartlett" in files[0].name
 
+    def test_malformed_line_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n\npsf.sources 5,5\n")
+        out = tmp_path / "o"
+        assert run(["psf", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"psf: {cfg}:3: expected 'key = value'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run(["psf", "--config", str(tmp_path / "none.cfg"),
                   "--out", str(tmp_path)])
@@ -397,6 +438,8 @@ class TestBadConfigValues:
         ("psf", "grid.az_stop", "1e308"),
         ("psf", "grid.el_start", "-200"),
         ("chirp", "chirp.f_end_hz", "200000"),
+        ("simulate", "decode.factor", "10"),  # window bits do not split into frames
+        pytest.param("chirp", "decode.factor", str(10 ** 309), id="factor-above-any-float"),
     ])
     def test_exits_2_naming_the_key_before_any_output(self, tmp_path, capsys,
                                                        command, key, value):

@@ -96,6 +96,25 @@ def test_every_config_key_is_read():
     assert sorted(set(DEFAULTS) - literals) == []
 
 
+def test_every_key_read_or_named_is_a_config_key():
+    # a string literal passed as the key to get_float, get_int, get_bool or
+    # ConfigError in the CLI or the benchmark (its test file excluded) is a
+    # DEFAULTS key or one of the CLI's own sources, so a deleted key cannot
+    # stay read by the benchmark or named in a message
+    from sonarray.cli import DEFAULTS
+
+    sources = [ROOT / "src" / "sonarray" / "cli.py"] + [
+        p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    readers = {"get_float", "get_int", "get_bool", "ConfigError"}
+    keys = [node.args[0].value for path in sources
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call) and node.args
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in readers
+            and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)]
+    assert keys
+    assert sorted(set(keys) - set(DEFAULTS) - {"input", "config", "--set"}) == []
+
+
 def test_every_top_level_import_is_used():
     # a name a package module imports at top level must be referenced in
     # that module, and "import a.b" by its dotted name a.b, so a deleted
