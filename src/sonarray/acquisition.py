@@ -1,12 +1,14 @@
 """Emulated sensor front-end.
 
-Covers the path from acoustics to bits and back:
+Covers the path from acoustics to bits and back.  The window length, the
+PDM clock and the decimation factor are arguments; the stock sensor's
+values (a 4.45 MHz clock, x16) live in the CLI's config table.
 
 * :func:`synthesize_capture` renders a reflector echo at every array
   element (fractional delays applied in the frequency domain, two-way
   spreading loss, transmit leakage, seeded white noise).
 * :func:`pdm_modulate` converts PCM to a 1-bit stream with a 2nd-order
-  sigma-delta modulator clocked at 4.45 MHz (the hot loop lives in
+  sigma-delta modulator clocked at the target rate (the hot loop lives in
   ``sonarray._kernels`` with a compiled backend when available).
 * :func:`pdm_decimate` recovers PCM with a 4-stage CIC decimator (exact
   integer arithmetic, evaluated in polyphase form) plus a
@@ -33,11 +35,6 @@ from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
 from .signalmodel import SnapshotBlock
 from .waveform import PcmTrace
 
-PDM_RATE_HZ = 4_450_000
-DECIMATION_FACTOR = 16
-CHANNEL_COUNT = 16
-USB_LINK_BUDGET_BPS = 480_000_000
-
 LEAKAGE_GAIN_DB = -20.0  # transmit bleed-through relative to the template peak
 
 # Integrator clip levels for the sigma-delta loop.  Measured on the pure
@@ -54,8 +51,6 @@ SDM_DITHER_AMPLITUDE = 1e-3
 # around the carrier.
 DEMOD_CUTOFF_HZ = 10_000.0
 DEMOD_NUMTAPS = 129
-
-assert CHANNEL_COUNT * PDM_RATE_HZ < USB_LINK_BUDGET_BPS
 
 PDM_MAGIC = b"PDM1"
 _PDM_HEADER = struct.Struct("<4sHdHQ")  # magic, version, rate, channel, bit count
@@ -139,7 +134,7 @@ def echo_geometry(geometry: ArrayGeometry, target: ReflectorTarget,
 def synthesize_capture(geometry: ArrayGeometry, target: ReflectorTarget,
                        chirp: PcmTrace, noise_db: float,
                        c_mps: float = SPEED_OF_SOUND_MPS, rng_seed: int = 0, *,
-                       window_s: float = 0.1) -> MultichannelCapture:
+                       window_s: float) -> MultichannelCapture:
     """One ping window as heard by every element.
 
     Emission starts at sample 0, the capture's emission marker.  The echo
@@ -176,7 +171,7 @@ def synthesize_capture(geometry: ArrayGeometry, target: ReflectorTarget,
     return MultichannelCapture(channels=tuple(traces), emission_marker=0)
 
 
-def pdm_modulate(trace: PcmTrace, target_rate_hz: float = PDM_RATE_HZ,
+def pdm_modulate(trace: PcmTrace, target_rate_hz: float,
                  rng_seed: int = 0, *, channel: int = 0) -> PdmStream:
     """Zero-order-hold upsample then 2nd-order sigma-delta to one bit.
 
@@ -271,7 +266,7 @@ def _cic_phase_tables(factor: int) -> np.ndarray:
     return table
 
 
-def pdm_decimate(stream: PdmStream, factor: int = DECIMATION_FACTOR) -> PcmTrace:
+def pdm_decimate(stream: PdmStream, factor: int) -> PcmTrace:
     """4-stage CIC decimation plus FIR droop compensation.
 
     Bits map to +-1; the CIC gain factor**4 is divided out, so a constant

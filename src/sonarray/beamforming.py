@@ -50,12 +50,12 @@ class GridSpec:
     """Uniform azimuth/elevation grid, degrees, endpoints included; starts
     and stops lie in [-90, 90], the front hemisphere ``Direction`` spans."""
 
-    az_start_deg: float = -90.0
-    az_stop_deg: float = 90.0
-    az_step_deg: float = 1.0
-    el_start_deg: float = -90.0
-    el_stop_deg: float = 90.0
-    el_step_deg: float = 1.0
+    az_start_deg: float
+    az_stop_deg: float
+    az_step_deg: float
+    el_start_deg: float
+    el_stop_deg: float
+    el_step_deg: float
 
     def __post_init__(self):
         for name in ("az", "el"):

@@ -23,18 +23,20 @@ from pathlib import Path
 from . import (__version__, acquisition, beamforming, framing, pipeline,
                waveform)
 from .errors import ConfigError, SonarrayError
-from .geometry import (Direction, build_uniform_circular_array,
-                       load_geometry_csv)
+from .geometry import (DEFAULT_DIAMETER_M, DEFAULT_ELEMENT_COUNT,
+                       SPEED_OF_SOUND_MPS, Direction,
+                       build_uniform_circular_array, load_geometry_csv)
 from .signalmodel import covariance_analytic, load_scene_file, parse_key_values
 from .waveform import ChirpSpec, generate_chirp
 
+# The stock sensor, stated once: the library takes every value as an argument.
 DEFAULTS = {
-    "c_mps": "343",
+    "c_mps": f"{SPEED_OF_SOUND_MPS:g}",
     "frequency_hz": "40000",
     "seed": "0",
     "geometry.csv": "",
-    "geometry.elements": "16",
-    "geometry.diameter_m": "0.030",
+    "geometry.elements": str(DEFAULT_ELEMENT_COUNT),
+    "geometry.diameter_m": f"{DEFAULT_DIAMETER_M:g}",
     "grid.az_start": "-90",
     "grid.az_stop": "90",
     "grid.az_step": "1",
@@ -132,18 +134,23 @@ class Config:
         except ValueError as exc:
             raise ConfigError.from_field("grid.", exc) from None
 
-    def chirp_spec(self) -> ChirpSpec:
+    def _pdm(self) -> tuple:
+        """(PDM clock, decimation factor); their PCM rate is >= 1 Hz."""
         rate = self.get_float("decode.rate_hz", positive=True)
         factor = self.get_int("decode.factor", minimum=2)
         if factor > rate:  # a PCM rate below 1 Hz, or one no float holds
             raise ConfigError("decode.factor", f"must be <= decode.rate_hz, got {factor}")
+        return rate, factor
+
+    def chirp_spec(self) -> ChirpSpec:
+        rate, factor = self._pdm()
         try:
             return ChirpSpec(
                 f_start_hz=self.get_float("chirp.f_start_hz", positive=True),
                 f_end_hz=self.get_float("chirp.f_end_hz", positive=True),
                 duration_s=self.get_float("chirp.duration_s", positive=True),
                 sample_rate_hz=rate / factor)
-        except ValueError as exc:  # only a sweep edge at or above fs/2 gets here
+        except ValueError as exc:  # a sweep edge at or above fs/2, or under one sample
             raise ConfigError.from_field("chirp.", exc) from None
 
     def target(self) -> acquisition.ReflectorTarget:
@@ -170,16 +177,16 @@ class Config:
                 f"{pipeline.WINDOW_S:g} s ping window ends before the next ping, "
                 f"got {ping_hz:g}")
         spec = self.chirp_spec()
-        try:  # the arguments raise ConfigError; Sensor, a ValueError on the frame split
+        rate, factor = self._pdm()
+        try:  # the arguments raise ConfigError; Sensor, a ValueError on the probe
+            # length (worded "chirp.duration_s ...") or on the frame split ("factor ...")
             return pipeline.Sensor(
                 geometry=self.geometry(),
                 chirp=generate_chirp(spec, self.chirp_window()),
                 grid=self.grid(),
                 frequency_hz=(spec.f_start_hz + spec.f_end_hz) / 2,
                 c_mps=self.get_float("c_mps", positive=True),
-                pdm_rate_hz=self.get_float("decode.rate_hz", positive=True),
-                factor=self.get_int("decode.factor", minimum=2),
-                ping_hz=ping_hz)
+                pdm_rate_hz=rate, factor=factor, ping_hz=ping_hz)
         except ValueError as exc:
             raise ConfigError.from_field("decode.", exc) from None
 
@@ -423,20 +430,18 @@ def cmd_localize(args, extra) -> int:
 
 def cmd_decode(args, extra) -> int:
     cfg = build_config(args, extra)
-    rate = cfg.get_float("decode.rate_hz", positive=True)
+    rate, factor = cfg._pdm()
     decimate = cfg.get_bool("decode.decimate")
-    factor = cfg.get_int("decode.factor", minimum=2)
     reader = _FrameReader(args.input)
     streams = pipeline.channel_streams(list(reader), rate)
+    if decimate and streams and streams[0].n_bits < factor:
+        raise SonarrayError(f"{streams[0].n_bits} PDM bits per channel, fewer than one "
+                            f"decimation step of {factor}")
     out = _out_dir(args)
     for pdm in streams:
         acquisition.save_pdm(pdm, out / f"ch{pdm.channel:02d}.pdm")
         if decimate:
-            try:
-                pcm = acquisition.pdm_decimate(pdm, factor)
-            except ValueError as exc:
-                print(f"decode: channel {pdm.channel}: {exc}", file=sys.stderr)
-                return 3
+            pcm = acquisition.pdm_decimate(pdm, factor)
             waveform.save_pcm(pcm, out / f"ch{pdm.channel:02d}.pcm")
     print(reader.summary())
     return 0

@@ -21,13 +21,13 @@ class ConfigError(SonarrayError):
         """Re-key a ValueError worded "<field> <complaint>" under its key.
 
         The dataclasses that check config and scene values (GridSpec,
-        ChirpSpec, Direction, ReflectorTarget, PointSource, Scene) name the
-        bad field first, e.g. "strength must lie in (0, 1]".  The key is
-        ``prefix`` + field, or the field alone when it already starts with
-        ``prefix``, so the message names the key once.
+        ChirpSpec, Direction, ReflectorTarget, PointSource, Scene, Sensor)
+        name the bad field first, e.g. "strength must lie in (0, 1]".  The key is
+        ``prefix`` + field, or the field alone when it is already a dotted
+        key such as "grid.az_step", so the message names the key once.
         """
         field, _, message = str(exc).partition(" ")
-        key = field if field.startswith(prefix) else prefix + field
+        key = field if "." in field else prefix + field
         return cls(key, message + suffix)
 
 

@@ -43,7 +43,7 @@ class Frame:
     timestamp_ticks: int
     samples_per_channel: int
     payload: bytes
-    channel_count: int = 16
+    channel_count: int
 
     def __post_init__(self):
         if not 0 <= self.sequence < _SEQ_MOD:

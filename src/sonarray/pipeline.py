@@ -41,7 +41,8 @@ MVDR_LOADING = 1e-3       # sample covariances from ~834 snapshots
 class Sensor:
     """What both ends of the chain agree on: the array, the probe (at the PCM
     rate pdm_rate_hz / factor), the PDM clock and decimation factor, the ping
-    rate and the scan grid.  A window's PDM bits must split into whole frames."""
+    rate and the scan grid.  The probe must be shorter than a window, and a
+    window's PDM bits must split into whole frames."""
 
     geometry: ArrayGeometry
     chirp: waveform.PcmTrace
@@ -53,7 +54,11 @@ class Sensor:
     ping_hz: float
 
     def __post_init__(self):
-        bits = int(WINDOW_S * self.chirp.sample_rate_hz) * self.factor
+        window = int(WINDOW_S * self.chirp.sample_rate_hz)
+        if len(self.chirp) >= window:
+            raise ValueError(f"chirp.duration_s gives a {len(self.chirp)}-sample probe, not "
+                             f"shorter than the {window}-sample {WINDOW_S:g} s ping window")
+        bits = window * self.factor
         if bits % FRAMES_PER_WINDOW:
             raise ValueError(f"factor {self.factor} gives {bits} PDM bits per channel per "
                              f"{WINDOW_S:g} s window, not {FRAMES_PER_WINDOW} whole frames")

@@ -1,7 +1,8 @@
 """Linear chirp generation, matched filtering, and range estimation.
 
-The canonical PCM rate is 278 125 Hz, i.e. the 4.45 MHz PDM clock divided
-by the acquisition module's decimation factor of 16.
+A sweep is sampled at the rate its ChirpSpec names; the sensor chain
+samples its probe at the PCM rate, the PDM clock over the decimation
+factor.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import scipy.signal
 from .errors import UnreliableEstimateError
 from .geometry import SPEED_OF_SOUND_MPS
 
-DEFAULT_SAMPLE_RATE_HZ = 278_125.0
 PCM_MAGIC = b"PCM1"
 _PCM_HEADER = struct.Struct("<4sIdQ")
 _PCM_PAD = 32 - _PCM_HEADER.size
@@ -27,18 +27,20 @@ _CSV_BLOCK_ROWS = 4096  # rows per write in save_trace_csv; bounds the strings h
 
 @dataclass(frozen=True)
 class ChirpSpec:
-    """Linear sweep parameters; defaults give the stock 36-44 kHz, 3 ms probe."""
+    """Linear sweep parameters; the sweep lasts at least one sample period."""
 
-    f_start_hz: float = 36_000.0
-    f_end_hz: float = 44_000.0
-    duration_s: float = 0.003
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
+    f_start_hz: float
+    f_end_hz: float
+    duration_s: float
+    sample_rate_hz: float
 
     def __post_init__(self):
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be > 0")
-        if not self.duration_s > 0:
-            raise ValueError("duration_s must be > 0")
+        if not 1 <= self.duration_s * self.sample_rate_hz < math.inf:  # generate_chirp's floor
+            raise ValueError(f"duration_s must be at least one sample period, "
+                             f"{1 / self.sample_rate_hz:.6g} s, and a finite sample count, "
+                             f"got {self.duration_s!r}")
         nyquist = self.sample_rate_hz / 2.0
         for name, f in (("f_start_hz", self.f_start_hz), ("f_end_hz", self.f_end_hz)):
             if not 0 < f < nyquist:

@@ -1,0 +1,22 @@
+"""The stock sensor every test module takes, resolved as the CLI resolves it."""
+
+from typing import NamedTuple
+
+import pytest
+
+from sonarray.cli import Config
+from sonarray.pipeline import Sensor
+from sonarray.waveform import ChirpSpec
+
+
+class Stock(NamedTuple):
+    sensor: Sensor   # array, probe trace, scan grid, carrier, c, PDM clock, factor
+    spec: ChirpSpec  # the sweep the probe is sampled from, at the PCM rate
+
+
+@pytest.fixture(scope="session")
+def stock() -> Stock:
+    """The default configuration's sensor and probe sweep: ``Config({})``
+    is the one statement of the stock values the tests build on."""
+    cfg = Config({})
+    return Stock(cfg.sensor(), cfg.chirp_spec())

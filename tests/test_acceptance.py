@@ -10,26 +10,17 @@ import pytest
 import scipy.linalg
 import scipy.signal
 
-from sonarray.acquisition import (CHANNEL_COUNT, DECIMATION_FACTOR,
-                                  PDM_RATE_HZ, USB_LINK_BUDGET_BPS,
-                                  ReflectorTarget, _compensator_taps,
+from sonarray.acquisition import (ReflectorTarget, _compensator_taps,
                                   demodulate_capture, echo_geometry,
                                   pdm_decimate, pdm_modulate,
                                   synthesize_capture)
-from sonarray.beamforming import GridSpec, doa_peaks, grid_powers, power_map, psf
+from sonarray.beamforming import doa_peaks, grid_powers, power_map, psf
 from sonarray.framing import (CorruptionEvent, Frame, StreamParser,
                               encode_frame, parse_stream)
-from sonarray.geometry import (Direction, default_circular_array,
-                               steering_matrix)
+from sonarray.geometry import Direction, steering_matrix
 from sonarray.signalmodel import (PointSource, Scene, covariance_analytic,
                                   sample_covariance)
-from sonarray.waveform import (ChirpSpec, PcmTrace, estimate_range,
-                               generate_chirp, matched_filter)
-
-FREQ = 40_000.0
-C = 343.0
-FS = 278_125.0
-L = 16
+from sonarray.waveform import PcmTrace, estimate_range, matched_filter
 
 PLACEMENTS = [(0.0, 0.0), (30.0, 0.0), (-45.0, -15.0)]
 
@@ -45,29 +36,21 @@ def criterion(number, description):
 
 
 @pytest.fixture(scope="module")
-def geometry():
-    return default_circular_array()
-
-
-@pytest.fixture(scope="module")
-def grid():
-    return GridSpec()  # -90..90 in 1 degree steps, both axes
-
-
-@pytest.fixture(scope="module")
-def placement_scans(geometry, grid):
-    """Shared scans for criteria 1 and 3: per placement, R plus both maps."""
+def placement_scans(stock):
+    """Shared scans for criteria 1 and 3 on the stock grid (-90..90 in 1
+    degree steps, both axes): per placement, R plus both maps."""
+    s = stock.sensor
     scans = []
     start = time.perf_counter()
     for az, el in PLACEMENTS:
         source = Direction(az, el)
         scene = Scene(desired=PointSource(source, 1.0), noise_power=0.01)
-        R = covariance_analytic(geometry, scene, FREQ, C)
+        R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
         maps = {}
         metrics = {}
         for bf in ("bartlett", "mvdr"):
-            maps[bf], metrics[bf] = psf(geometry, source, 1.0, 0.01, grid,
-                                        FREQ, C, beamformer=bf, loading=0.0)
+            maps[bf], metrics[bf] = psf(s.geometry, source, 1.0, 0.01, s.grid,
+                                        s.frequency_hz, s.c_mps, beamformer=bf, loading=0.0)
         scans.append({"source": source, "R": R, "maps": maps, "metrics": metrics})
     elapsed = time.perf_counter() - start
     return scans, elapsed
@@ -90,16 +73,18 @@ def test_criterion_1_psf_reproduction(placement_scans):
         assert elapsed < 30.0, f"PSF scans took {elapsed:.1f} s"
 
 
-def test_criterion_2_mvdr_closed_form(geometry):
+def test_criterion_2_mvdr_closed_form(stock):
+    s = stock.sensor
     with criterion(2, "MVDR closed-form power at the source"):
         # inversion-lemma oracle, scalar arithmetic only
         sd2, sv2 = 1.0, 0.1
-        expected = sd2 + sv2 / L
+        expected = sd2 + sv2 / s.geometry.n_elements
         assert expected == 1.00625
         look = Direction(0.0, 0.0)
         scene = Scene(desired=PointSource(look, sd2), noise_power=sv2)
-        R = covariance_analytic(geometry, scene, FREQ, C)
-        d = steering_matrix(geometry, look.azimuth_deg, look.elevation_deg, FREQ, C)
+        R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
+        d = steering_matrix(s.geometry, look.azimuth_deg, look.elevation_deg,
+                            s.frequency_hz, s.c_mps)
         x = np.linalg.solve(R, d[:, 0])
         got = 1.0 / np.vdot(d[:, 0], x).real
         assert abs(got - expected) <= 1e-9 * expected
@@ -107,12 +92,13 @@ def test_criterion_2_mvdr_closed_form(geometry):
         assert abs(got - expected) <= 1e-9 * expected
 
 
-def test_criterion_3_dominance_and_distortionless(geometry, grid, placement_scans):
+def test_criterion_3_dominance_and_distortionless(stock, placement_scans):
+    s = stock.sensor
     scans, _ = placement_scans
     with criterion(3, "MVDR <= Bartlett and distortionless on every node"):
-        az, el = grid.axes()
+        az, el = s.grid.axes()
         AZ, EL = np.meshgrid(az, el)
-        D = steering_matrix(geometry, AZ.ravel(), EL.ravel(), FREQ, C)
+        D = steering_matrix(s.geometry, AZ.ravel(), EL.ravel(), s.frequency_hz, s.c_mps)
         for scan in scans:
             R = scan["R"]
             mvdr_vals = scan["maps"]["mvdr"].power.ravel()
@@ -126,17 +112,18 @@ def test_criterion_3_dominance_and_distortionless(geometry, grid, placement_scan
             assert distortion.max() <= 1e-9
 
 
-def test_criterion_4_range_experiment(geometry):
+def test_criterion_4_range_experiment(stock):
+    s = stock.sensor
     with criterion(4, "1 m reflector, 30 pings at 10 Hz"):
         start = time.perf_counter()
-        template = generate_chirp(ChirpSpec())
+        template = s.chirp
         target = ReflectorTarget(Direction(0.0, 0.0), 1.0, 1.0)
-        expected_lag = 5.831e-3 * FS
+        expected_lag = 5.831e-3 * template.sample_rate_hz
         for ping in range(30):
-            capture = synthesize_capture(geometry, target, template, 20.0, C,
+            capture = synthesize_capture(s.geometry, target, template, 20.0, s.c_mps,
                                          rng_seed=64 * ping, window_s=0.1)
             mf = matched_filter(capture.channels[0], template)
-            est = estimate_range(mf, capture.emission_marker, C,
+            est = estimate_range(mf, capture.emission_marker, s.c_mps,
                                  template_length=len(template))
             assert abs(est.range_m - 1.000) <= 0.002, f"ping {ping}: {est.range_m}"
             peak_lag = int(np.argmax(mf.samples)) - capture.emission_marker
@@ -145,16 +132,17 @@ def test_criterion_4_range_experiment(geometry):
         assert elapsed < 10.0, f"range experiment took {elapsed:.1f} s"
 
 
-def test_criterion_5_acquisition_round_trip():
+def test_criterion_5_acquisition_round_trip(stock):
+    s = stock.sensor
+    fs = s.chirp.sample_rate_hz
     with criterion(5, "PDM modulate/decimate round trip"):
-        n = int(0.05 * FS)
-        t = np.arange(n) / FS
+        n = int(0.05 * fs)
+        t = np.arange(n) / fs
         x = 0.5 * np.sin(2 * np.pi * 40_000.0 * t)
-        stream = pdm_modulate(PcmTrace(x, FS), PDM_RATE_HZ, rng_seed=3)
-        out = pdm_decimate(stream, DECIMATION_FACTOR)
+        stream = pdm_modulate(PcmTrace(x, fs), s.pdm_rate_hz, rng_seed=3)
+        out = pdm_decimate(stream, s.factor)
         # CIC (4 output samples) plus compensator FIR transients
-        settle = 4 + len(_compensator_taps(PDM_RATE_HZ / DECIMATION_FACTOR,
-                                           DECIMATION_FACTOR))
+        settle = 4 + len(_compensator_taps(fs, s.factor))
         y = out.samples[settle:-settle]
         ref = x[settle:-settle]
 
@@ -178,7 +166,7 @@ def test_criterion_5_acquisition_round_trip():
         residual = y - basis @ coef
         signal_power = (coef[0] ** 2 + coef[1] ** 2) / 2.0
         sos = scipy.signal.butter(8, [30_000.0, 50_000.0], btype="band",
-                                  fs=FS, output="sos")
+                                  fs=fs, output="sos")
         band_noise = scipy.signal.sosfiltfilt(sos, residual)[settle:-settle]
         snr_db = 10 * math.log10(signal_power / np.mean(band_noise ** 2))
         assert snr_db >= 60.0, f"in-band SNR {snr_db:.1f} dB"
@@ -249,9 +237,9 @@ def test_criterion_6_framing_properties():
             assert flip_stats.frames_ok == 0, f"bit flip {bit} passed"
 
 
-def test_criterion_7_throughput():
+def test_criterion_7_throughput(stock):
+    channels = stock.sensor.geometry.n_elements
     with criterion(7, "parser throughput vs the aggregate PDM rate"):
-        assert CHANNEL_COUNT * PDM_RATE_HZ == 71_200_000 < USB_LINK_BUDGET_BPS
         # >= 4 MiB of stock 16-channel frames with 8 KiB payloads, fed in
         # the 64 KiB chunks that decode reads; one timed pass.
         rng = np.random.default_rng(12345)
@@ -261,8 +249,8 @@ def test_criterion_7_throughput():
             payload = rng.integers(0, 256, 8192, dtype=np.uint8).tobytes()
             stream += encode_frame(Frame(
                 sequence=n_frames, timestamp_ticks=n_frames * 1000,
-                samples_per_channel=8 * 8192 // CHANNEL_COUNT, payload=payload,
-                channel_count=CHANNEL_COUNT))
+                samples_per_channel=8 * 8192 // channels, payload=payload,
+                channel_count=channels))
             n_frames += 1
         stream = bytes(stream)
         parser = StreamParser()
@@ -275,22 +263,23 @@ def test_criterion_7_throughput():
         print(f"[acceptance]   parser rate: {mbps:.0f} Mb/s "
               f"({len(stream) / elapsed / 1e6:.0f} MB/s, "
               f"{n_frames / elapsed:.0f} frames/s)")
-        assert mbps >= CHANNEL_COUNT * PDM_RATE_HZ / 1e6
+        assert mbps >= channels * stock.sensor.pdm_rate_hz / 1e6
 
 
-def test_criterion_8_end_to_end(geometry):
+def test_criterion_8_end_to_end(stock):
+    s = stock.sensor
     with criterion(8, "capture -> demodulation -> MVDR localization"):
-        template = generate_chirp(ChirpSpec())
+        template = s.chirp
         target = ReflectorTarget(Direction(0.0, 0.0), 1.0, 1.0)
-        capture = synthesize_capture(geometry, target, template, 20.0, C,
+        capture = synthesize_capture(s.geometry, target, template, 20.0, s.c_mps,
                                      rng_seed=11, window_s=0.05)
-        delays, _ = echo_geometry(geometry, target, C)
-        gate_start = capture.emission_marker + int(round(delays[0] * FS))
-        block = demodulate_capture(capture, FREQ,
+        delays, _ = echo_geometry(s.geometry, target, s.c_mps)
+        gate_start = capture.emission_marker + int(round(delays[0] * capture.sample_rate_hz))
+        block = demodulate_capture(capture, s.frequency_hz,
                                    gate=(gate_start, gate_start + len(template)))
         assert block.n_snapshots >= 256
         R = sample_covariance(block)
-        pmap = power_map(geometry, R, GridSpec(), FREQ, C,
+        pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps,
                          beamformer="mvdr", loading=1e-3)
         peaks = doa_peaks(pmap, max_peaks=1, min_separation_deg=5.0)
         assert peaks, "no peak found"

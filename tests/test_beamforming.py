@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,34 +7,31 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sonarray.beamforming import (GridSpec, PowerMap, _ascii_fields, _f4_words,
+from sonarray.beamforming import (PowerMap, _ascii_fields, _f4_words,
                                   _format_tables, _g10_words, _local_maxima,
                                   _scan_steering, doa_peaks, grid_powers, power_map,
                                   psf, psf_metrics, save_power_map_csv,
                                   save_power_map_pgm)
 from sonarray.errors import NoPeakError, SingularMatrixError
 from sonarray.geometry import (Direction, build_uniform_circular_array,
-                               default_circular_array, steering_matrix)
+                               steering_matrix)
 from sonarray.signalmodel import PointSource, Scene, covariance_analytic
-
-FREQ = 40_000.0
-C = 343.0
-L = 16
-
-
-@pytest.fixture(scope="module")
-def geometry():
-    return default_circular_array()
 
 
 def single_source_scene(direction, sd2=1.0, sv2=0.1):
     return Scene(desired=PointSource(direction, sd2), noise_power=sv2)
 
 
-def look_vector(geometry, direction):
-    """Single-look steering vector: one column of steering_matrix."""
-    return steering_matrix(geometry, direction.azimuth_deg, direction.elevation_deg,
-                           FREQ, C)[:, 0]
+def look_vector(sensor, direction):
+    """Single-look steering vector of the sensor's array at its carrier:
+    one column of steering_matrix."""
+    return steering_matrix(sensor.geometry, direction.azimuth_deg, direction.elevation_deg,
+                           sensor.frequency_hz, sensor.c_mps)[:, 0]
+
+
+def covariance(sensor, scene):
+    """The scene's analytic covariance at the sensor's array and carrier."""
+    return covariance_analytic(sensor.geometry, scene, sensor.frequency_hz, sensor.c_mps)
 
 
 def look_power(R, d, kind, loading=0.0):
@@ -50,96 +48,114 @@ def mvdr_closed_form(rho, sd2, sv2, n):
 
 
 class TestBartlett:
-    def test_unit_dyad_at_source(self, geometry):
+    def test_unit_dyad_at_source(self, stock):
+        s = stock.sensor
         look = Direction(0, 0)
-        sv = look_vector(geometry, look)
-        R = covariance_analytic(geometry, single_source_scene(look, 1.0, 0.0), FREQ, C)
+        sv = look_vector(s, look)
+        R = covariance(s, single_source_scene(look, 1.0, 0.0))
         assert abs(look_power(R, sv, "bartlett") - 1.0) < 1e-12
 
-    def test_white_noise_floor(self, geometry):
-        sv = look_vector(geometry, Direction(17, -4))
+    def test_white_noise_floor(self, stock):
+        s = stock.sensor
+        L = s.geometry.n_elements
+        sv = look_vector(s, Direction(17, -4))
         R = 0.1 * np.eye(L)
         assert abs(look_power(R, sv, "bartlett") - 0.1 / L) < 1e-15
 
-    def test_source_plus_noise_adds(self, geometry):
+    def test_source_plus_noise_adds(self, stock):
+        s = stock.sensor
+        L = s.geometry.n_elements
         look = Direction(0, 0)
-        sv = look_vector(geometry, look)
-        R = covariance_analytic(geometry, single_source_scene(look), FREQ, C)
+        sv = look_vector(s, look)
+        R = covariance(s, single_source_scene(look))
         assert abs(look_power(R, sv, "bartlett") - (1.0 + 0.1 / L)) < 1e-12
 
-    def test_dimension_mismatch(self, geometry):
-        sv = look_vector(geometry, Direction(0, 0))
+    def test_dimension_mismatch(self, stock):
+        s = stock.sensor
+        sv = look_vector(s, Direction(0, 0))
         for kind in ("bartlett", "mvdr"):
             with pytest.raises(ValueError):
                 look_power(np.eye(4), sv, kind)
 
 
 class TestMvdr:
-    def test_closed_form_at_source(self, geometry):
+    def test_closed_form_at_source(self, stock):
+        s = stock.sensor
+        L = s.geometry.n_elements
         look = Direction(0, 0)
-        sv = look_vector(geometry, look)
-        R = covariance_analytic(geometry, single_source_scene(look), FREQ, C)
+        sv = look_vector(s, look)
+        R = covariance(s, single_source_scene(look))
         expected = 1.0 + 0.1 / L  # rho = 1 in the inversion-lemma oracle
         assert abs(mvdr_closed_form(1.0, 1.0, 0.1, L) - expected) < 1e-15
         assert abs(look_power(R, sv, "mvdr") - expected) <= 1e-9 * expected
 
-    def test_zero_matrix_is_singular(self, geometry):
-        sv = look_vector(geometry, Direction(0, 0))
+    def test_zero_matrix_is_singular(self, stock):
+        s = stock.sensor
+        L = s.geometry.n_elements
+        sv = look_vector(s, Direction(0, 0))
         with pytest.raises(SingularMatrixError):
             look_power(np.zeros((L, L), dtype=complex), sv, "mvdr", loading=0.0)
 
-    def test_loading_rescues_singular_covariance(self, geometry):
+    def test_loading_rescues_singular_covariance(self, stock):
+        s = stock.sensor
         look = Direction(0, 0)
-        sv = look_vector(geometry, look)
-        R = covariance_analytic(geometry, single_source_scene(look, 1.0, 0.0), FREQ, C)
+        sv = look_vector(s, look)
+        R = covariance(s, single_source_scene(look, 1.0, 0.0))
         with pytest.raises(SingularMatrixError):
             look_power(R, sv, "mvdr", loading=0.0)
         assert look_power(R, sv, "mvdr", loading=1e-3) > 0
 
-    def test_white_noise_power_is_flat(self, geometry):
+    def test_white_noise_power_is_flat(self, stock):
+        s = stock.sensor
+        L = s.geometry.n_elements
         R = 0.25 * np.eye(L)
         for az, el in [(0, 0), (41, 7), (-60, -30)]:
-            sv = look_vector(geometry, Direction(az, el))
+            sv = look_vector(s, Direction(az, el))
             assert abs(look_power(R, sv, "mvdr") - 0.25 / L) < 1e-12
 
-    def test_closed_form_across_directions(self, geometry):
+    def test_closed_form_across_directions(self, stock):
+        s = stock.sensor
+        L = s.geometry.n_elements
         source = Direction(20, 0)
-        d_s = look_vector(geometry, source)
-        R = covariance_analytic(geometry, single_source_scene(source, 1.0, 0.1), FREQ, C)
+        d_s = look_vector(s, source)
+        R = covariance(s, single_source_scene(source, 1.0, 0.1))
         for az, el in [(20, 0), (0, 0), (-45, -15), (60, 25), (25, 0)]:
-            sv = look_vector(geometry, Direction(az, el))
+            sv = look_vector(s, Direction(az, el))
             rho = abs(np.vdot(sv, d_s)) ** 2 / L ** 2
             expected = mvdr_closed_form(rho, 1.0, 0.1, L)
             assert abs(look_power(R, sv, "mvdr") - expected) <= 1e-9 * expected
 
-    def test_mvdr_never_exceeds_bartlett(self, geometry):
+    def test_mvdr_never_exceeds_bartlett(self, stock):
+        s = stock.sensor
         source = Direction(-10, 5)
-        R = covariance_analytic(geometry, single_source_scene(source, 2.0, 0.05), FREQ, C)
+        R = covariance(s, single_source_scene(source, 2.0, 0.05))
         for az, el in [(-10, 5), (0, 0), (44, -3), (-80, 60)]:
-            sv = look_vector(geometry, Direction(az, el))
+            sv = look_vector(s, Direction(az, el))
             assert look_power(R, sv, "mvdr") <= look_power(R, sv, "bartlett") + 1e-12
 
-    def test_scale_equivariance(self, geometry):
+    def test_scale_equivariance(self, stock):
+        s = stock.sensor
         source = Direction(15, -20)
-        sv = look_vector(geometry, Direction(10, 0))
-        R = covariance_analytic(geometry, single_source_scene(source), FREQ, C)
+        sv = look_vector(s, Direction(10, 0))
+        R = covariance(s, single_source_scene(source))
         alpha = 3.7
         for kind in ("bartlett", "mvdr"):
             assert np.isclose(look_power(alpha * R, sv, kind),
                               alpha * look_power(R, sv, kind), rtol=1e-12)
 
-    def test_interference_null_depth(self, geometry):
+    def test_interference_null_depth(self, stock):
         # beam steered at the desired source: adding the interferer raises
         # the adaptive output at least 10 dB less than the Bartlett output
+        s = stock.sensor
         desired = Direction(0, 0)
         jammer = Direction(30, 0)
         quiet = Scene(desired=PointSource(desired, 1.0), noise_power=0.01)
         jammed = Scene(desired=PointSource(desired, 1.0),
                        interferers=(PointSource(jammer, 1.0),),
                        noise_power=0.01)  # interferer power = 100 * noise
-        sv_d = look_vector(geometry, desired)
-        R_quiet = covariance_analytic(geometry, quiet, FREQ, C)
-        R_jammed = covariance_analytic(geometry, jammed, FREQ, C)
+        sv_d = look_vector(s, desired)
+        R_quiet = covariance(s, quiet)
+        R_jammed = covariance(s, jammed)
         leak = {kind: look_power(R_jammed, sv_d, kind) - look_power(R_quiet, sv_d, kind)
                 for kind in ("bartlett", "mvdr")}
         assert leak["mvdr"] > 0
@@ -147,53 +163,60 @@ class TestMvdr:
 
 
 class TestPowerMap:
-    def test_noise_only_map_is_constant(self, geometry):
+    def test_noise_only_map_is_constant(self, stock):
+        s = stock.sensor
+        L = s.geometry.n_elements
         R = 0.1 * np.eye(L)
-        grid = GridSpec(az_step_deg=5.0, el_step_deg=5.0)
+        grid = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0)
         for bf in ("bartlett", "mvdr"):
-            pmap = power_map(geometry, R, grid, FREQ, C, beamformer=bf)
+            pmap = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer=bf)
             spread = pmap.power.max() - pmap.power.min()
             assert spread <= 1e-9 * pmap.power.max()
 
     @pytest.mark.parametrize("source", [(0, 0), (30, 0)])
     @pytest.mark.parametrize("bf", ["bartlett", "mvdr"])
-    def test_argmax_at_source(self, geometry, source, bf):
+    def test_argmax_at_source(self, stock, source, bf):
+        s = stock.sensor
         scene = single_source_scene(Direction(*source), 1.0, 0.01)
-        R = covariance_analytic(geometry, scene, FREQ, C)
-        pmap = power_map(geometry, R, GridSpec(), FREQ, C, beamformer=bf)
+        R = covariance(s, scene)
+        pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer=bf)
         i, j = np.unravel_index(np.argmax(pmap.power), pmap.power.shape)
         assert abs(pmap.azimuth_deg[j] - source[0]) <= 1.0
         assert abs(pmap.elevation_deg[i] - source[1]) <= 1.0
 
-    def test_scan_is_deterministic(self, geometry):
-        R = covariance_analytic(geometry, single_source_scene(Direction(5, 5)), FREQ, C)
-        grid = GridSpec(az_step_deg=3.0, el_step_deg=3.0)
-        a = power_map(geometry, R, grid, FREQ, C, beamformer="mvdr")
-        b = power_map(geometry, R, grid, FREQ, C, beamformer="mvdr")
+    def test_scan_is_deterministic(self, stock):
+        s = stock.sensor
+        R = covariance(s, single_source_scene(Direction(5, 5)))
+        grid = dataclasses.replace(s.grid, az_step_deg=3.0, el_step_deg=3.0)
+        a = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
+        b = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
         assert np.array_equal(a.power, b.power)
 
-    def test_cached_steering_follows_every_key_part(self):
+    def test_cached_steering_follows_every_key_part(self, stock):
         # consecutive calls differ in one key part, so a key that left any
         # part out would hand back the previous call's matrix
+        s = stock.sensor
+        f, c = s.frequency_hz, s.c_mps
         ring = build_uniform_circular_array(16, 0.030)
         twin = build_uniform_circular_array(16, 0.030)
         small = build_uniform_circular_array(12, 0.030)
         wide = build_uniform_circular_array(16, 0.060)
-        coarse = GridSpec(az_step_deg=5.0, el_step_deg=5.0)
-        skew = GridSpec(az_start_deg=-60.0, az_step_deg=4.0, el_step_deg=6.0)
+        coarse = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0)
+        skew = dataclasses.replace(s.grid, az_start_deg=-60.0, az_step_deg=4.0,
+                                   el_step_deg=6.0)
         rng = np.random.default_rng(8)
 
-        def covariance(n):
+        def random_covariance(n):
             A = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
             return A @ A.conj().T / (2 * n)
 
-        R = {12: covariance(12), 16: covariance(16)}
-        calls = [(ring, coarse, FREQ, C), (twin, coarse, FREQ, C),
-                 (small, coarse, FREQ, C), (ring, coarse, FREQ, C),
-                 (wide, coarse, FREQ, C), (wide, skew, FREQ, C),
-                 (wide, coarse, FREQ, C), (wide, coarse, 36_000.0, C),
+        R = {12: random_covariance(12), 16: random_covariance(16)}
+        calls = [(ring, coarse, f, c), (twin, coarse, f, c),
+                 (small, coarse, f, c), (ring, coarse, f, c),
+                 (wide, coarse, f, c), (wide, skew, f, c),
+                 (wide, coarse, f, c), (wide, coarse, 36_000.0, c),
                  (wide, coarse, 36_000.0, 1480.0), (ring, coarse, 36_000.0, 1480.0),
-                 (ring, coarse, FREQ, C)]
+                 (ring, coarse, f, c)]
         for geom, grid, freq, c in calls:
             az, el = grid.axes()
             AZ, EL = np.meshgrid(az, el)
@@ -203,18 +226,22 @@ class TestPowerMap:
                 pmap = power_map(geom, cov, grid, freq, c, beamformer=bf, loading=loading)
                 assert np.array_equal(pmap.power.ravel(), grid_powers(cov, D, bf, loading))
 
-    def test_cached_steering_is_shared_and_read_only(self):
-        grid = GridSpec(az_step_deg=5.0, el_step_deg=5.0)
-        D = _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C)
-        assert _scan_steering(build_uniform_circular_array(16, 0.030), grid, FREQ, C) is D
+    def test_cached_steering_is_shared_and_read_only(self, stock):
+        s = stock.sensor
+        grid = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0)
+        ring, twin = (build_uniform_circular_array(16, 0.030) for _ in range(2))
+        D = _scan_steering(ring, grid, s.frequency_hz, s.c_mps)
+        assert _scan_steering(twin, grid, s.frequency_hz, s.c_mps) is D
         assert not D.flags.writeable
         with pytest.raises(ValueError):
             D[0, 0] = 0.0
 
-    def test_grid_powers_match_per_column_reference(self, geometry):
-        az, el = GridSpec(az_step_deg=5.0, el_step_deg=5.0).axes()
+    def test_grid_powers_match_per_column_reference(self, stock):
+        s = stock.sensor
+        L = s.geometry.n_elements
+        az, el = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0).axes()
         AZ, EL = np.meshgrid(az, el)
-        D = steering_matrix(geometry, AZ.ravel(), EL.ravel(), FREQ, C)
+        D = steering_matrix(s.geometry, AZ.ravel(), EL.ravel(), s.frequency_hz, s.c_mps)
         rng = np.random.default_rng(21)
         for _ in range(3):
             A = rng.standard_normal((L, 2 * L)) + 1j * rng.standard_normal((L, 2 * L))
@@ -227,12 +254,13 @@ class TestPowerMap:
                 np.testing.assert_allclose(grid_powers(R, D, "mvdr", loading), mvdr,
                                            rtol=1e-12)
 
-    def test_grid_powers_ignore_memory_layout(self, geometry):
+    def test_grid_powers_ignore_memory_layout(self, stock):
         # the kernel sums over a float view of D, which needs C order
-        az, el = GridSpec(az_step_deg=5.0, el_step_deg=5.0).axes()
+        s = stock.sensor
+        az, el = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0).axes()
         AZ, EL = np.meshgrid(az, el)
-        D = steering_matrix(geometry, AZ.ravel(), EL.ravel(), FREQ, C)
-        R = covariance_analytic(geometry, single_source_scene(Direction(20, -10)), FREQ, C)
+        D = steering_matrix(s.geometry, AZ.ravel(), EL.ravel(), s.frequency_hz, s.c_mps)
+        R = covariance(s, single_source_scene(Direction(20, -10)))
         for layout in (D[:, ::3], np.asfortranarray(D)):
             assert not layout.flags.c_contiguous
             for bf, loading in (("bartlett", 0.0), ("mvdr", 0.0), ("mvdr", 1e-3)):
@@ -256,13 +284,16 @@ class TestPowerMap:
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
-    def test_grid_spec_validation(self):
+    def test_grid_spec_validation(self, stock):
+        s = stock.sensor
         with pytest.raises(ValueError, match="az_step"):
-            GridSpec(az_step_deg=0.0)
+            dataclasses.replace(s.grid, az_step_deg=0.0)
         with pytest.raises(ValueError, match="el_stop"):
-            GridSpec(el_start_deg=10, el_stop_deg=-10)
+            dataclasses.replace(s.grid, el_start_deg=10, el_stop_deg=-10)
 
-    def test_unknown_beamformer(self, geometry):
+    def test_unknown_beamformer(self, stock):
+        s = stock.sensor
+        L = s.geometry.n_elements
         with pytest.raises(ValueError, match="beamformer"):
             grid_powers(np.eye(L), np.ones((L, 1)), "music")
 
@@ -297,30 +328,33 @@ class TestPsfMetrics:
             psf_metrics(pmap)
 
     @pytest.mark.parametrize("source", [(0, 0), (-45, -15)])
-    def test_psf_peaks_at_source(self, geometry, source):
-        grid = GridSpec()
+    def test_psf_peaks_at_source(self, stock, source):
+        s = stock.sensor
+        grid = s.grid
         for bf in ("bartlett", "mvdr"):
-            pmap, metrics = psf(geometry, Direction(*source), 1.0, 0.01, grid,
-                                FREQ, C, beamformer=bf)
+            pmap, metrics = psf(s.geometry, Direction(*source), 1.0, 0.01, grid,
+                                s.frequency_hz, s.c_mps, beamformer=bf)
             assert abs(metrics.peak_direction.azimuth_deg - source[0]) <= 1.0
             assert abs(metrics.peak_direction.elevation_deg - source[1]) <= 1.0
             assert metrics.peak_sidelobe_db <= 0.0
             assert metrics.mainlobe_width_az_deg > 0
             assert metrics.mainlobe_width_el_deg > 0
 
-    def test_boresight_bartlett_sidelobe_is_the_j0_ring(self, geometry):
+    def test_boresight_bartlett_sidelobe_is_the_j0_ring(self, stock):
         # a ring's boresight pattern is J0(k a sin theta); its first
         # sidelobe peaks where J0' = -J1 = 0
-        _, metrics = psf(geometry, Direction(0, 0), 1.0, 0.0, GridSpec(), FREQ, C)
+        s = stock.sensor
+        _, metrics = psf(s.geometry, Direction(0, 0), 1.0, 0.0, s.grid, s.frequency_hz, s.c_mps)
         j11 = scipy.special.jn_zeros(1, 1)[0]
         ring = 20.0 * math.log10(abs(scipy.special.j0(j11)))  # -7.8991 dB
         assert abs(metrics.peak_sidelobe_db - ring) <= 0.01
 
-    def test_mvdr_beats_bartlett_metrics(self, geometry):
-        grid = GridSpec()
-        _, bartlett = psf(geometry, Direction(30, 0), 1.0, 0.01, grid, FREQ, C,
+    def test_mvdr_beats_bartlett_metrics(self, stock):
+        s = stock.sensor
+        grid = s.grid
+        _, bartlett = psf(s.geometry, Direction(30, 0), 1.0, 0.01, grid, s.frequency_hz, s.c_mps,
                           beamformer="bartlett")
-        _, mvdr = psf(geometry, Direction(30, 0), 1.0, 0.01, grid, FREQ, C,
+        _, mvdr = psf(s.geometry, Direction(30, 0), 1.0, 0.01, grid, s.frequency_hz, s.c_mps,
                       beamformer="mvdr")
         assert mvdr.mainlobe_width_az_deg < bartlett.mainlobe_width_az_deg
         assert mvdr.mainlobe_width_el_deg < bartlett.mainlobe_width_el_deg
@@ -354,9 +388,10 @@ def per_cell_maxima(pmap):
 class TestLocalMaxima:
     @pytest.mark.parametrize("bf", ["bartlett", "mvdr"])
     @pytest.mark.parametrize("source", [(0, 0), (30, 0), (-45, -15)])
-    def test_stock_maps_match_per_cell_reference(self, geometry, source, bf):
-        pmap, metrics = psf(geometry, Direction(*source), 1.0, 0.01, GridSpec(), FREQ, C,
-                            beamformer=bf)
+    def test_stock_maps_match_per_cell_reference(self, stock, source, bf):
+        s = stock.sensor
+        pmap, metrics = psf(s.geometry, Direction(*source), 1.0, 0.01, s.grid,
+                            s.frequency_hz, s.c_mps, beamformer=bf)
         reference = per_cell_maxima(pmap)
         assert list(zip(*(a.tolist() for a in _local_maxima(pmap)))) == reference
         peaks = doa_peaks(pmap, max_peaks=len(reference))
@@ -369,33 +404,34 @@ class TestLocalMaxima:
 class TestDoaPeaks:
     @pytest.mark.parametrize("bf", ["bartlett", "mvdr"])
     @pytest.mark.parametrize("el", [90.0, -90.0, 89.7])
-    def test_source_at_a_pole_is_found_at_the_pole(self, geometry, el, bf):
+    def test_source_at_a_pole_is_found_at_the_pole(self, stock, el, bf):
         # each el = +-90 row is one direction; its cells differ by rounding,
         # so the strict 8-neighbour rule alone would miss a pole source
-        R = covariance_analytic(geometry, single_source_scene(Direction(0, el), 1.0, 0.01),
-                                FREQ, C)
-        pmap = power_map(geometry, R, GridSpec(), FREQ, C, beamformer=bf)
+        s = stock.sensor
+        R = covariance(s, single_source_scene(Direction(0, el), 1.0, 0.01))
+        pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer=bf)
         (top, power), = doa_peaks(pmap)
         assert top.elevation_deg == math.copysign(90.0, el)
         assert power == pmap.power.max()
         assert list(zip(*(a.tolist() for a in _local_maxima(pmap)))) == per_cell_maxima(pmap)
 
-    def test_single_source_yields_one_dominant_peak(self, geometry):
-        R = covariance_analytic(geometry, single_source_scene(Direction(10, -5), 1.0, 0.01),
-                                FREQ, C)
-        pmap = power_map(geometry, R, GridSpec(), FREQ, C, beamformer="mvdr")
+    def test_single_source_yields_one_dominant_peak(self, stock):
+        s = stock.sensor
+        R = covariance(s, single_source_scene(Direction(10, -5), 1.0, 0.01))
+        pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
         peaks = doa_peaks(pmap, max_peaks=3, min_separation_deg=10.0)
         assert peaks
         top, _ = peaks[0]
         assert abs(top.azimuth_deg - 10) <= 1.0
         assert abs(top.elevation_deg + 5) <= 1.0
 
-    def test_two_sources_resolved(self, geometry):
+    def test_two_sources_resolved(self, stock):
+        s = stock.sensor
         scene = Scene(desired=PointSource(Direction(-30, 0), 1.0),
                       interferers=(PointSource(Direction(30, 0), 1.0),),
                       noise_power=0.01)
-        R = covariance_analytic(geometry, scene, FREQ, C)
-        pmap = power_map(geometry, R, GridSpec(), FREQ, C, beamformer="mvdr")
+        R = covariance(s, scene)
+        pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
         peaks = doa_peaks(pmap, max_peaks=2, min_separation_deg=10.0)
         assert len(peaks) == 2
         azimuths = sorted(p[0].azimuth_deg for p in peaks)
@@ -429,8 +465,9 @@ def assert_same_csv_bytes(pmap, tmp_path):
 
 class TestExports:
     @pytest.mark.parametrize("bf, loading", [("bartlett", 0.0), ("mvdr", 1e-3)])
-    def test_stock_psf_csv_bytes_match_per_cell_writer(self, tmp_path, geometry, bf, loading):
-        pmap, _ = psf(geometry, Direction(-37, 12), 1.0, 0.01, GridSpec(), FREQ, C,
+    def test_stock_psf_csv_bytes_match_per_cell_writer(self, stock, tmp_path, bf, loading):
+        s = stock.sensor
+        pmap, _ = psf(s.geometry, Direction(-37, 12), 1.0, 0.01, s.grid, s.frequency_hz, s.c_mps,
                       beamformer=bf, loading=loading)
         assert_same_csv_bytes(pmap, tmp_path)
 
@@ -449,10 +486,12 @@ class TestExports:
         power[2, :3] = [1e10, 9.99999999995e-05, 1e300]
         assert_same_csv_bytes(PowerMap(azimuth_deg=az, elevation_deg=el, power=power), tmp_path)
 
-    def test_csv_and_pgm(self, tmp_path, geometry):
-        R = covariance_analytic(geometry, single_source_scene(Direction(0, 0)), FREQ, C)
-        grid = GridSpec(az_start_deg=-10, az_stop_deg=10, el_start_deg=-10, el_stop_deg=10)
-        pmap = power_map(geometry, R, grid, FREQ, C, beamformer="bartlett")
+    def test_csv_and_pgm(self, stock, tmp_path):
+        s = stock.sensor
+        R = covariance(s, single_source_scene(Direction(0, 0)))
+        grid = dataclasses.replace(s.grid, az_start_deg=-10, az_stop_deg=10,
+                                   el_start_deg=-10, el_stop_deg=10)
+        pmap = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer="bartlett")
         csv_path = tmp_path / "map.csv"
         save_power_map_csv(pmap, csv_path)
         lines = csv_path.read_text().splitlines()
@@ -466,11 +505,13 @@ class TestExports:
         sidecar = (tmp_path / "map.pgm.meta.txt").read_text()
         assert "beamformer = bartlett" in sidecar
 
-    def test_exports_over_a_longer_file_hold_only_the_new_bytes(self, tmp_path, geometry):
-        R = covariance_analytic(geometry, single_source_scene(Direction(0, 0)), FREQ, C)
-        big, small = (power_map(geometry, R, GridSpec(az_start_deg=-span, az_stop_deg=span,
-                                                      el_start_deg=-span, el_stop_deg=span),
-                                FREQ, C) for span in (20, 3))
+    def test_exports_over_a_longer_file_hold_only_the_new_bytes(self, stock, tmp_path):
+        s = stock.sensor
+        R = covariance(s, single_source_scene(Direction(0, 0)))
+        big, small = (power_map(s.geometry, R,
+                                dataclasses.replace(s.grid, az_start_deg=-span, az_stop_deg=span,
+                                                    el_start_deg=-span, el_stop_deg=span),
+                                s.frequency_hz, s.c_mps) for span in (20, 3))
         (tmp_path / "fresh").mkdir()
         for out, maps in ((tmp_path, (big, small)), (tmp_path / "fresh", (small,))):
             for pmap in maps:
@@ -481,10 +522,11 @@ class TestExports:
             assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
         assert_same_csv_bytes(small, tmp_path)  # fast.csv again, over a longer file
 
-    def test_db_floor(self, geometry):
-        R = covariance_analytic(geometry, single_source_scene(Direction(0, 0), 1.0, 1e-12),
-                                FREQ, C)
-        pmap = power_map(geometry, R, GridSpec(az_step_deg=10, el_step_deg=10), FREQ, C,
+    def test_db_floor(self, stock):
+        s = stock.sensor
+        R = covariance(s, single_source_scene(Direction(0, 0), 1.0, 1e-12))
+        grid = dataclasses.replace(s.grid, az_step_deg=10, el_step_deg=10)
+        pmap = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps,
                          beamformer="mvdr", loading=1e-6)
         db = pmap.to_db()
         assert db.max() == 0.0
@@ -535,9 +577,10 @@ class TestAsciiFields:
                 [(fmt % x).encode() for x in values]
 
     @pytest.mark.parametrize("bf, loading", [("bartlett", 0.0), ("mvdr", 1e-3)])
-    def test_stock_map_cells_take_the_numpy_path(self, geometry, bf, loading):
+    def test_stock_map_cells_take_the_numpy_path(self, stock, bf, loading):
         # Python % formats only the few cells the numpy path cannot prove
-        pmap, _ = psf(geometry, Direction(-37, 12), 1.0, 0.01, GridSpec(), FREQ, C,
+        s = stock.sensor
+        pmap, _ = psf(s.geometry, Direction(-37, 12), 1.0, 0.01, s.grid, s.frequency_hz, s.c_mps,
                       beamformer=bf, loading=loading)
         for words, values in ((_g10_words, pmap.power), (_f4_words, pmap.to_db())):
             a = np.abs(values.ravel())

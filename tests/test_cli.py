@@ -5,7 +5,6 @@ import sys
 import numpy as np
 import pytest
 
-from sonarray.acquisition import DECIMATION_FACTOR, PDM_RATE_HZ
 from sonarray.beamforming import GridSpec
 from sonarray.cli import DEFAULTS, Config, main
 from sonarray.framing import Frame, encode_frame, parse_stream
@@ -81,11 +80,11 @@ class TestPsfCommand:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
-    def test_stock_run_passes_the_benchmark_psf_check(self, tmp_path):
+    def test_stock_run_passes_the_benchmark_psf_check(self, stock, tmp_path):
         # per map, as perfbench's psf_sweep checks: every CSV row ends in LF,
         # and the metrics' peak sits on the source node
         assert run(["psf", "--out", str(tmp_path)]) == 0
-        az, el = GridSpec().axes()
+        az, el = stock.sensor.grid.axes()
         sources = [tuple(float(v) for v in pair.split(","))
                    for pair in DEFAULTS["psf.sources"].split(";")]
         beamformers = DEFAULTS["psf.beamformers"].split(",")
@@ -188,16 +187,24 @@ class TestGeometryKeys:
         assert np.allclose(np.linalg.norm(g.elements, axis=1), 0.01)
 
     def test_default_is_stock_array(self):
+        # the config table is the one statement of the paper's sensor: 16
+        # PDM microphones at 4.45 MHz share a 480 Mb/s USB high-speed link,
+        # x16 decimation gives 278 125 Hz PCM, and the 36-44 kHz, 3 ms sweep
+        # is steered at its 40 kHz centre over a 1 degree hemisphere grid
+        cfg = Config({})
+        sensor = cfg.sensor()
+        assert sensor.geometry.n_elements * sensor.pdm_rate_hz == 71_200_000 < 480_000_000
+        assert (sensor.pdm_rate_hz, sensor.factor) == (4_450_000, 16)
+        assert sensor.chirp.sample_rate_hz == 278_125  # 4 450 000 / 16 exactly
+        assert sensor.frequency_hz == 40_000
+        assert cfg.chirp_spec() == ChirpSpec(f_start_hz=36_000.0, f_end_hz=44_000.0,
+                                             duration_s=0.003, sample_rate_hz=278_125.0)
+        assert sensor.grid == GridSpec(az_start_deg=-90.0, az_stop_deg=90.0, az_step_deg=1.0,
+                                       el_start_deg=-90.0, el_stop_deg=90.0, el_step_deg=1.0)
         # the benchmark builds its stock sensor from Config({}) but records
         # the geometry_sha256 of default_circular_array(), so the two agree
-        cfg = Config({})
-        assert (geometry_fingerprint(cfg.geometry())
+        assert (geometry_fingerprint(sensor.geometry)
                 == geometry_fingerprint(default_circular_array()))
-        assert cfg.chirp_spec() == ChirpSpec()  # 4 450 000 / 16 exactly
-        assert cfg.grid() == GridSpec()
-        sensor = cfg.sensor()
-        assert (sensor.pdm_rate_hz, sensor.factor, sensor.frequency_hz) == (
-            PDM_RATE_HZ, DECIMATION_FACTOR, 40_000)
 
     def test_csv_wins_over_circle_keys(self, tmp_path):
         path = tmp_path / "layout.csv"
@@ -379,6 +386,16 @@ class TestDecodeCommand:
         assert "frame 1 has 8 channels, earlier frames 16" in err
         assert not (tmp_path / "out").exists()
 
+    def test_stream_shorter_than_one_decimation_step_writes_nothing(self, tmp_path, capsys):
+        stream_path = tmp_path / "stream.bin"
+        stream_path.write_bytes(make_stream(1, spc=8))
+        out = tmp_path / "out"
+        assert run(["decode", str(stream_path), "--out", str(out),
+                    "--set", "decode.decimate=true"]) == 3
+        assert ("decode: 8 PDM bits per channel, fewer than one decimation step of 16"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unreadable_input(self, tmp_path, capsys):
         rc = run(["decode", str(tmp_path / "missing.bin"), "--out", str(tmp_path)])
         assert rc == 2
@@ -438,13 +455,27 @@ class TestBadConfigValues:
         ("psf", "grid.az_stop", "1e308"),
         ("psf", "grid.el_start", "-200"),
         ("chirp", "chirp.f_end_hz", "200000"),
+        # a probe under one sample period, one of more samples than a float
+        # holds, and one no ping window holds
+        ("chirp", "chirp.duration_s", "1e-9"),
+        ("chirp", "chirp.duration_s", "1e308"),
+        ("simulate", "chirp.duration_s", "1e-9"),
+        ("localize", "chirp.duration_s", "1e-9"),
+        ("simulate", "chirp.duration_s", "0.06"),
+        ("localize", "chirp.duration_s", "0.06"),
         ("simulate", "decode.factor", "10"),  # window bits do not split into frames
         pytest.param("chirp", "decode.factor", str(10 ** 309), id="factor-above-any-float"),
+        ("decode", "decode.factor", "100000000"),  # a PCM rate below 1 Hz
     ])
     def test_exits_2_naming_the_key_before_any_output(self, tmp_path, capsys,
                                                        command, key, value):
+        # localize and decode read a one-frame stream, which each would
+        # otherwise turn into output
+        stream = tmp_path / "stream.bin"
+        stream.write_bytes(make_stream(1))
         out = tmp_path / "out"
-        rc = run([command, "--out", str(out), "--set", f"{key}={value}"])
+        argv = [command] + ([str(stream)] if command in ("localize", "decode") else [])
+        rc = run(argv + ["--out", str(out), "--set", f"{key}={value}"])
         assert rc == 2
         # the key appears, and its last part nowhere else
         err = capsys.readouterr().err

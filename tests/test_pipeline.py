@@ -96,10 +96,10 @@ def test_ping_rate_above_the_window_rate_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_pings_are_placed_by_timestamp(tmp_path, capsys):
+def test_pings_are_placed_by_timestamp(stock, tmp_path, capsys):
     # the first frame of pings 2 and 5 only, numbered 0 and 1: rows 2..5,
     # each NaN with its cause
-    sensor = cli.Config({}).sensor()
+    sensor = stock.sensor
     payloads = [bytes(16 * 13906 // 8)] * pipeline.FRAMES_PER_WINDOW
     first = {ping: dataclasses.replace(pipeline.frame_window(sensor, payloads, ping)[0],
                                        sequence=n)

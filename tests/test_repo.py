@@ -1,5 +1,6 @@
 import ast
 import importlib.metadata
+import re
 import subprocess
 from pathlib import Path
 
@@ -47,33 +48,58 @@ def test_build_requirements_are_installed():
     assert unmet == []
 
 
-def test_every_public_function_and_class_has_a_caller():
-    # a reference is a Name or Attribute node in the package or in the
-    # benchmark (its test file excluded) outside the definition itself;
-    # sonarray/__init__.py re-exports are import aliases and strings, so
-    # they do not count
+def definitions_and_references():
+    """Top-level definitions of the package, and the names referenced in the
+    package or the benchmark (its test file excluded).
+
+    A definition maps a name a top-level statement of a package module
+    defines (a def or class, or an assignment target) to the statement and
+    its path.  A reference is a Name or Attribute node outside the
+    statements that define that name; sonarray/__init__.py re-exports are
+    import aliases and strings, so they do not count.
+    """
     sources = sorted((ROOT / "src" / "sonarray").rglob("*.py"))
     bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
              if not p.name.startswith("test_")]
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sources + bench}
-    defined = {node.name: path for path in sources for node in trees[path].body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")}
+
+    def owned(statement):
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            return {statement.name}
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+        return {target.id for target in targets if isinstance(target, ast.Name)}
+
+    defined = {name: (statement, path) for path in sources for statement in trees[path].body
+               for name in owned(statement)}
     referenced = set()
     for tree in trees.values():
         for statement in tree.body:
-            owner = getattr(statement, "name", None)
+            own = owned(statement)
             for node in ast.walk(statement):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != owner:
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name not in own:
                     referenced.add(name)
-    unused = sorted(set(defined) - referenced)
-    assert unused == [], [f"{defined[n].relative_to(ROOT)}: {n}" for n in unused]
+    return defined, referenced
+
+
+def test_every_public_function_and_class_has_a_caller():
+    defined, referenced = definitions_and_references()
+    unused = sorted(name for name, (statement, _) in defined.items()
+                    if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                    and not name.startswith("_") and name not in referenced)
+    assert unused == [], [f"{defined[n][1].relative_to(ROOT)}: {n}" for n in unused]
+
+
+def test_every_public_constant_is_read():
+    # a public UPPER_CASE module constant is read outside its own
+    # assignment, so a deleted default cannot leave its constant behind
+    defined, referenced = definitions_and_references()
+    unread = sorted(name for name, (statement, _) in defined.items()
+                    if isinstance(statement, (ast.Assign, ast.AnnAssign))
+                    and re.fullmatch(r"[A-Z][A-Z0-9_]*", name) and name not in referenced)
+    assert unread == [], [f"{defined[n][1].relative_to(ROOT)}: {n}" for n in unread]
 
 
 def test_every_config_key_is_read():

@@ -2,28 +2,20 @@ import numpy as np
 import pytest
 
 from sonarray.errors import ConfigError
-from sonarray.geometry import Direction, default_circular_array, steering_matrix
+from sonarray.geometry import Direction, steering_matrix
 from sonarray.signalmodel import (PointSource, Scene, SnapshotBlock,
                                   covariance_analytic, load_scene_file,
                                   parse_scene_text, sample_covariance)
 
-FREQ = 40_000.0
-C = 343.0
-
-
-@pytest.fixture(scope="module")
-def geometry():
-    return default_circular_array()
-
-
-def brute_force_covariance(geometry, scene):
-    """Independent oracle: explicit elementwise sum of the model terms."""
-    L = geometry.n_elements
+def brute_force_covariance(sensor, scene):
+    """Independent oracle: explicit elementwise sum of the model terms, at
+    the sensor's array and carrier."""
+    L = sensor.geometry.n_elements
     R = np.zeros((L, L), dtype=complex)
     sources = [scene.desired] + list(scene.interferers)
     for src in sources:
-        d = steering_matrix(geometry, src.direction.azimuth_deg,
-                            src.direction.elevation_deg, FREQ, C)[:, 0]
+        d = steering_matrix(sensor.geometry, src.direction.azimuth_deg,
+                            src.direction.elevation_deg, sensor.frequency_hz, sensor.c_mps)[:, 0]
         for i in range(L):
             for j in range(L):
                 R[i, j] += src.power * d[i] * np.conj(d[j])
@@ -40,39 +32,42 @@ def assert_hermitian_psd(R):
 
 
 class TestCovarianceAnalytic:
-    def test_single_unit_source_is_rank_one_dyad(self, geometry):
+    def test_single_unit_source_is_rank_one_dyad(self, stock):
+        s = stock.sensor
         scene = Scene(desired=PointSource(Direction(10, 5), 1.0))
-        R = covariance_analytic(geometry, scene, FREQ, C)
+        R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
         assert abs(np.trace(R).real - 16.0) < 1e-12
         eigs = np.linalg.eigvalsh(R)
         assert np.sum(eigs > 1e-9 * np.trace(R).real) == 1
 
-    def test_noise_only_is_scaled_identity(self, geometry):
+    def test_noise_only_is_scaled_identity(self, stock):
+        s = stock.sensor
         scene = Scene(desired=PointSource(Direction(0, 0), 0.0), noise_power=0.1)
-        R = covariance_analytic(geometry, scene, FREQ, C)
+        R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
         assert np.allclose(R, 0.1 * np.eye(16), atol=1e-15)
 
-    def test_trace_against_brute_force(self, geometry):
+    def test_trace_against_brute_force(self, stock):
+        s = stock.sensor
         scene = Scene(desired=PointSource(Direction(0, 0), 1.0), noise_power=0.1)
-        R = covariance_analytic(geometry, scene, FREQ, C)
+        R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
         assert abs(np.trace(R).real - 16 * 1.1) < 1e-12
-        oracle = brute_force_covariance(geometry, scene)
+        oracle = brute_force_covariance(s, scene)
         assert np.max(np.abs(R - oracle)) <= 1e-12
 
-    def test_additivity_over_subscenes(self, geometry):
+    def test_additivity_over_subscenes(self, stock):
+        s = stock.sensor
         desired = PointSource(Direction(-20, 8), 2.0)
         interferers = (PointSource(Direction(40, -5), 0.5),
                        PointSource(Direction(5, 30), 3.0))
-        full = covariance_analytic(
-            geometry, Scene(desired, interferers, noise_power=0.25), FREQ, C)
-        d_only = covariance_analytic(geometry, Scene(desired), FREQ, C)
-        i_only = covariance_analytic(
-            geometry, Scene(PointSource(desired.direction, 0.0), interferers), FREQ, C)
-        n_only = covariance_analytic(
-            geometry, Scene(PointSource(desired.direction, 0.0), noise_power=0.25), FREQ, C)
+        silent = PointSource(desired.direction, 0.0)
+        full, d_only, i_only, n_only = (
+            covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
+            for scene in (Scene(desired, interferers, noise_power=0.25), Scene(desired),
+                          Scene(silent, interferers), Scene(silent, noise_power=0.25)))
         assert np.max(np.abs(full - (d_only + i_only + n_only))) <= 1e-12
 
-    def test_invariants_hold_for_random_scenes(self, geometry):
+    def test_invariants_hold_for_random_scenes(self, stock):
+        s = stock.sensor
         rng = np.random.default_rng(99)
         for _ in range(10):
             scene = Scene(
@@ -81,41 +76,43 @@ class TestCovarianceAnalytic:
                     PointSource(Direction(*rng.uniform(-80, 80, 2)), rng.uniform(0, 4))
                     for _ in range(rng.integers(0, 4))),
                 noise_power=rng.uniform(0, 1))
-            R = covariance_analytic(geometry, scene, FREQ, C)
+            R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
             assert_hermitian_psd(R)
 
-    def test_eigenvalue_count_bounded_by_source_count(self, geometry):
+    def test_eigenvalue_count_bounded_by_source_count(self, stock):
+        s = stock.sensor
         scene = Scene(desired=PointSource(Direction(0, 0), 1.0),
                       interferers=(PointSource(Direction(30, 0), 2.0),
                                    PointSource(Direction(-50, 10), 0.7)),
                       noise_power=0.05)
-        R = covariance_analytic(geometry, scene, FREQ, C)
+        R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
         core = R - 0.05 * np.eye(16)
         eigs = np.linalg.eigvalsh(core)
         assert np.sum(eigs > 1e-9 * np.trace(R).real) <= 3
 
 
-def gaussian_block(geometry, direction, source_power, noise_power, n, seed):
-    """Seeded snapshots of one point source plus white noise, each signal a
-    circular complex Gaussian of its power: E[sample_covariance] is the
-    analytic covariance of the matching scene."""
+def gaussian_block(sensor, direction, source_power, noise_power, n, seed):
+    """Seeded snapshots at the sensor of one point source plus white noise,
+    each signal a circular complex Gaussian of its power:
+    E[sample_covariance] is the analytic covariance of the matching scene."""
     rng = np.random.default_rng(seed)
 
     def cgauss(power, shape):
         return np.sqrt(power / 2.0) * (rng.standard_normal(shape)
                                        + 1j * rng.standard_normal(shape))
 
-    d = steering_matrix(geometry, direction.azimuth_deg, direction.elevation_deg,
-                        FREQ, C)
-    L = geometry.n_elements
+    d = steering_matrix(sensor.geometry, direction.azimuth_deg, direction.elevation_deg,
+                        sensor.frequency_hz, sensor.c_mps)
+    L = sensor.geometry.n_elements
     Y = d * cgauss(source_power, n)[None, :] + cgauss(noise_power, (L, n))
     return SnapshotBlock(samples=Y, sample_rate_hz=1.0)
 
 
 class TestSnapshots:
-    def test_noise_only_sample_covariance_concentrates(self, geometry):
+    def test_noise_only_sample_covariance_concentrates(self, stock):
+        s = stock.sensor
         n = 10_000
-        block = gaussian_block(geometry, Direction(0, 0), 0.0, 0.3, n, seed=123)
+        block = gaussian_block(s, Direction(0, 0), 0.0, 0.3, n, seed=123)
         R = sample_covariance(block)
         assert np.max(np.abs(R - 0.3 * np.eye(16))) <= 5 * 0.3 / np.sqrt(n)
 
@@ -123,26 +120,29 @@ class TestSnapshots:
         block = SnapshotBlock(samples=np.ones((4, 1), dtype=complex), sample_rate_hz=1.0)
         assert np.array_equal(sample_covariance(block), np.ones((4, 4), dtype=complex))
 
-    def test_quadratic_scaling(self, geometry):
-        block = gaussian_block(geometry, Direction(5, 5), 1.0, 0.1, 32, seed=3)
+    def test_quadratic_scaling(self, stock):
+        s = stock.sensor
+        block = gaussian_block(s, Direction(5, 5), 1.0, 0.1, 32, seed=3)
         scaled = SnapshotBlock(samples=2.0 * block.samples, sample_rate_hz=1.0)
         assert np.allclose(sample_covariance(scaled), 4.0 * sample_covariance(block),
                            atol=1e-12)
 
-    def test_monte_carlo_matches_analytic(self, geometry):
+    def test_monte_carlo_matches_analytic(self, stock):
+        s = stock.sensor
         scene = Scene(desired=PointSource(Direction(0, 0), 1.0), noise_power=0.1)
-        block = gaussian_block(geometry, Direction(0, 0), 1.0, 0.1, 50_000, seed=42)
+        block = gaussian_block(s, Direction(0, 0), 1.0, 0.1, 50_000, seed=42)
         R_hat = sample_covariance(block)
-        R = covariance_analytic(geometry, scene, FREQ, C)
+        R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
         assert np.max(np.abs(R_hat - R)) <= 0.05
         assert_hermitian_psd(R_hat)
 
-    def test_convergence_rate_is_one_over_sqrt_n(self, geometry):
+    def test_convergence_rate_is_one_over_sqrt_n(self, stock):
+        s = stock.sensor
         scene = Scene(desired=PointSource(Direction(10, 0), 1.0), noise_power=0.1)
-        R = covariance_analytic(geometry, scene, FREQ, C)
+        R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
         errs = []
         for n in (2_000, 20_000):
-            block = gaussian_block(geometry, Direction(10, 0), 1.0, 0.1, n, seed=17)
+            block = gaussian_block(s, Direction(10, 0), 1.0, 0.1, n, seed=17)
             errs.append(np.max(np.abs(sample_covariance(block) - R)))
         ratio = errs[0] / errs[1]
         assert 2.0 <= ratio <= 5.0  # sqrt(10) ~ 3.16 expected
@@ -153,7 +153,8 @@ class TestSnapshots:
 
 
 class TestSceneFiles:
-    def test_round_trip(self, tmp_path, geometry):
+    def test_round_trip(self, stock, tmp_path):
+        s = stock.sensor
         scene = Scene(desired=PointSource(Direction(0, 0), 1.0),
                       interferers=(PointSource(Direction(25, 5), 4.0),
                                    PointSource(Direction(-40, 0), 0.5)),
@@ -172,12 +173,12 @@ class TestSceneFiles:
                         "interferer.elevation_deg = 0\n"
                         "interferer.power = 0.5\n")
         parsed, freq, c = load_scene_file(path)
-        assert freq == FREQ and c == C
+        assert freq == s.frequency_hz and c == s.c_mps
         assert parsed.noise_power == scene.noise_power
         assert len(parsed.interferers) == 2
         assert parsed.interferers[1].power == 0.5
-        R1 = covariance_analytic(geometry, scene, FREQ, C)
-        R2 = covariance_analytic(geometry, parsed, freq, c)
+        R1 = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
+        R2 = covariance_analytic(s.geometry, parsed, freq, c)
         assert np.max(np.abs(R1 - R2)) <= 1e-12
 
     def test_missing_frequency_rejected(self):
