@@ -176,15 +176,12 @@ class Config:
                 "simulate.rate_hz", f"must be <= {1.0 / pipeline.WINDOW_S:g} so each "
                 f"{pipeline.WINDOW_S:g} s ping window ends before the next ping, "
                 f"got {ping_hz:g}")
-        spec = self.chirp_spec()
         rate, factor = self._pdm()
         try:  # the arguments raise ConfigError; Sensor, a ValueError on the probe
             # length (worded "chirp.duration_s ...") or on the frame split ("factor ...")
             return pipeline.Sensor(
-                geometry=self.geometry(),
-                chirp=generate_chirp(spec, self.chirp_window()),
-                grid=self.grid(),
-                frequency_hz=(spec.f_start_hz + spec.f_end_hz) / 2,
+                geometry=self.geometry(), spec=self.chirp_spec(),
+                chirp_window=self.chirp_window(), grid=self.grid(),
                 c_mps=self.get_float("c_mps", positive=True),
                 pdm_rate_hz=rate, factor=factor, ping_hz=ping_hz)
         except ValueError as exc:
@@ -381,7 +378,7 @@ def cmd_simulate(args, extra) -> int:
     return 0
 
 
-def _localize_ping(sensor: pipeline.Sensor, sweep_s: float, ping: int, frames: list) -> tuple:
+def _localize_ping(sensor: pipeline.Sensor, ping: int, frames: list) -> tuple:
     """One ranges.csv row; NaN, with the cause on stderr, when the ping's
     window is incomplete or gives no estimate."""
     streams = pipeline.channel_streams(frames, sensor.pdm_rate_hz)
@@ -397,8 +394,8 @@ def _localize_ping(sensor: pipeline.Sensor, sweep_s: float, ping: int, frames: l
         except SonarrayError as exc:
             cause = str(exc)
         else:
-            return head + (est.delay_s, est.delay_s - sweep_s, est.range_m, est.peak_value,
-                           est.peak_to_noise_db, direction.azimuth_deg,
+            return head + (est.delay_s, est.delay_s - sensor.spec.duration_s, est.range_m,
+                           est.peak_value, est.peak_to_noise_db, direction.azimuth_deg,
                            direction.elevation_deg)
     print(f"localize: ping {ping}: {cause}", file=sys.stderr)
     return head + (math.nan,) * 7
@@ -407,15 +404,14 @@ def _localize_ping(sensor: pipeline.Sensor, sweep_s: float, ping: int, frames: l
 def cmd_localize(args, extra) -> int:
     cfg = build_config(args, extra)
     sensor = cfg.sensor()
-    sweep_s = cfg.chirp_spec().duration_s
     reader = _FrameReader(args.input)
     rows = []
     for ping, frames in itertools.groupby(reader, key=lambda f: pipeline.ping_of(sensor, f)):
         if rows and ping <= rows[-1][0]:
             raise SonarrayError(f"a frame of ping {ping} follows ping {rows[-1][0]}")
         for missing in range(rows[-1][0] + 1 if rows else ping, ping):
-            rows.append(_localize_ping(sensor, sweep_s, missing, []))
-        rows.append(_localize_ping(sensor, sweep_s, ping, list(frames)))
+            rows.append(_localize_ping(sensor, missing, []))
+        rows.append(_localize_ping(sensor, ping, list(frames)))
     out = _out_dir(args)
     with open(out / "ranges.csv", "w", newline="") as fh:
         fh.write("ping,emission_time_s,delay_s,delay_from_sweep_end_s,"

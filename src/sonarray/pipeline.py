@@ -14,13 +14,14 @@ The module constants are the chain's fixed decisions, not config keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import acquisition, beamforming, framing, signalmodel, waveform
 from .errors import NoPeakError, SonarrayError
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, direction_unit_vector
 
 WINDOW_S = 0.05           # signal seconds recorded per ping
 FRAMES_PER_WINDOW = 16    # 13 906 PDM bits per channel per frame at the stock rates
@@ -34,34 +35,44 @@ CHUNK_BYTES = 65536       # read size of a frame stream
 # peak for only part of the sweep; 0.25 keeps the payloads bit-identical
 # to those the benchmark was recorded with.
 FRONT_END_GAIN = 0.25
-MVDR_LOADING = 1e-3       # sample covariances from ~834 snapshots
 
 
 @dataclass(frozen=True, eq=False)
 class Sensor:
-    """What both ends of the chain agree on: the array, the probe (at the PCM
-    rate pdm_rate_hz / factor), the PDM clock and decimation factor, the ping
-    rate and the scan grid.  The probe must be shorter than a window, and a
-    window's PDM bits must split into whole frames."""
+    """What both ends of the chain agree on: the array, the probe's sweep and
+    window function (sampled at the PCM rate pdm_rate_hz / factor), the PDM
+    clock and decimation factor, the ping rate and the scan grid.
+
+    The sweep's floor(duration * fs) samples, the count ``generate_chirp``
+    makes, must be fewer than a window's, and a window's PDM bits must split
+    into whole frames; only then is the probe, ``chirp``, sampled."""
 
     geometry: ArrayGeometry
-    chirp: waveform.PcmTrace
+    spec: waveform.ChirpSpec
+    chirp_window: str
     grid: beamforming.GridSpec
-    frequency_hz: float
     c_mps: float
     pdm_rate_hz: float
     factor: int
     ping_hz: float
+    chirp: waveform.PcmTrace = field(init=False)
 
     def __post_init__(self):
-        window = int(WINDOW_S * self.chirp.sample_rate_hz)
-        if len(self.chirp) >= window:
-            raise ValueError(f"chirp.duration_s gives a {len(self.chirp)}-sample probe, not "
+        window = int(WINDOW_S * self.spec.sample_rate_hz)
+        probe = math.floor(self.spec.duration_s * self.spec.sample_rate_hz)
+        if probe >= window:
+            raise ValueError(f"chirp.duration_s gives a {probe}-sample probe, not "
                              f"shorter than the {window}-sample {WINDOW_S:g} s ping window")
         bits = window * self.factor
         if bits % FRAMES_PER_WINDOW:
             raise ValueError(f"factor {self.factor} gives {bits} PDM bits per channel per "
                              f"{WINDOW_S:g} s window, not {FRAMES_PER_WINDOW} whole frames")
+        object.__setattr__(self, "chirp", waveform.generate_chirp(self.spec, self.chirp_window))
+
+    @property
+    def frequency_hz(self) -> float:
+        """The carrier the echo is demodulated and steered at: the sweep's centre."""
+        return (self.spec.f_start_hz + self.spec.f_end_hz) / 2
 
     @property
     def ping_ticks(self) -> int:
@@ -134,11 +145,14 @@ def localize_window(sensor: Sensor, streams: list) -> tuple:
     """(RangeEstimate, Direction) of the echo in one ping window.
 
     Every channel is decimated.  Channel 0 is matched-filtered against the
-    probe for the range, with the emission at the window's first sample.
+    probe for its delay, with the emission at the window's first sample.
     The echo gate [delay, delay + probe length) of all channels is
     demodulated at ``frequency_hz``; the direction is the highest peak of
-    the MVDR map (loading MVDR_LOADING) of its sample covariance.  Raises
-    UnreliableEstimateError when the range cannot be trusted and
+    the Bartlett map of its sample covariance.  The range is the emitter's:
+    element 0 at p0 from the emitter hears the echo from direction u over a
+    path shorter by p0.u, so half of that is added to channel 0's
+    c * delay / 2; ``delay_s`` stays channel 0's.  Raises
+    UnreliableEstimateError when the delay cannot be trusted and
     NoPeakError when the map has no peak.
     """
     pcm = [acquisition.pdm_decimate(stream, sensor.factor) for stream in streams]
@@ -151,8 +165,11 @@ def localize_window(sensor: Sensor, streams: list) -> tuple:
                                            gate=(start, start + len(sensor.chirp)))
     pmap = beamforming.power_map(sensor.geometry, signalmodel.sample_covariance(block),
                                  sensor.grid, sensor.frequency_hz, sensor.c_mps,
-                                 beamformer="mvdr", loading=MVDR_LOADING)
+                                 beamformer="bartlett")
     peaks = beamforming.doa_peaks(pmap, max_peaks=1)
     if not peaks:
         raise NoPeakError("power map has no DOA peak")
-    return estimate, peaks[0][0]
+    direction = peaks[0][0]
+    p0 = sensor.geometry.elements[0] - sensor.geometry.reference_point
+    range_m = estimate.range_m + float(p0 @ direction_unit_vector(direction)) / 2.0
+    return replace(estimate, range_m=range_m), direction

@@ -10,13 +10,13 @@ from sonarray.waveform import ChirpSpec
 
 
 class Stock(NamedTuple):
-    sensor: Sensor   # array, probe trace, scan grid, carrier, c, PDM clock, factor
-    spec: ChirpSpec  # the sweep the probe is sampled from, at the PCM rate
+    sensor: Sensor   # array, probe sweep and trace, scan grid, carrier, c, PDM clock, factor
+    spec: ChirpSpec  # sensor.spec: the sweep the probe is sampled from, at the PCM rate
 
 
 @pytest.fixture(scope="session")
 def stock() -> Stock:
     """The default configuration's sensor and probe sweep: ``Config({})``
     is the one statement of the stock values the tests build on."""
-    cfg = Config({})
-    return Stock(cfg.sensor(), cfg.chirp_spec())
+    sensor = Config({}).sensor()
+    return Stock(sensor, sensor.spec)

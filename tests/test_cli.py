@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from sonarray import cli, waveform
 from sonarray.beamforming import GridSpec
 from sonarray.cli import DEFAULTS, Config, main
 from sonarray.framing import Frame, encode_frame, parse_stream
@@ -482,3 +483,18 @@ class TestBadConfigValues:
         assert key in err
         assert err.count(key.rpartition(".")[2]) == 1
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "localize"])
+    def test_a_probe_the_window_cannot_hold_is_refused_before_it_is_sampled(
+            self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate_chirp was called")
+
+        for module in (cli, waveform):
+            monkeypatch.setattr(module, "generate_chirp", refuse)
+        stream = tmp_path / "stream.bin"
+        stream.write_bytes(make_stream(1))
+        argv = [command] + ([str(stream)] if command == "localize" else [])
+        assert run(argv + ["--out", str(tmp_path / "out"),
+                           "--set", "chirp.duration_s=0.06"]) == 2
+        assert "chirp.duration_s: gives a 16687-sample probe" in capsys.readouterr().err
