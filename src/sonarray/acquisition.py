@@ -30,8 +30,7 @@ import scipy.fft
 import scipy.signal
 
 from . import _kernels
-from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
-                       direction_unit_vector)
+from .geometry import ArrayGeometry, Direction, direction_unit_vector
 from .signalmodel import SnapshotBlock
 from .waveform import PcmTrace
 
@@ -116,8 +115,7 @@ class MultichannelCapture:
         return len(self.channels[0])
 
 
-def echo_geometry(geometry: ArrayGeometry, target: ReflectorTarget,
-                  c_mps: float = SPEED_OF_SOUND_MPS):
+def echo_geometry(geometry: ArrayGeometry, target: ReflectorTarget, c_mps: float):
     """Per-element two-way delays (s) and spreading amplitudes.
 
     Transmit happens at the reference point; element l hears the echo at
@@ -133,7 +131,7 @@ def echo_geometry(geometry: ArrayGeometry, target: ReflectorTarget,
 
 def synthesize_capture(geometry: ArrayGeometry, target: ReflectorTarget,
                        chirp: PcmTrace, noise_db: float,
-                       c_mps: float = SPEED_OF_SOUND_MPS, rng_seed: int = 0, *,
+                       c_mps: float, rng_seed: int = 0, *,
                        window_s: float) -> MultichannelCapture:
     """One ping window as heard by every element.
 

@@ -37,8 +37,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NoPeakError, SingularMatrixError
-from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
-                       geometry_fingerprint, steering_matrix)
+from .geometry import (ArrayGeometry, Direction, geometry_fingerprint,
+                       steering_matrix)
 from .signalmodel import PointSource, Scene, covariance_analytic
 
 BEAMFORMERS = ("bartlett", "mvdr")
@@ -198,7 +198,7 @@ def _scan_steering(geometry: ArrayGeometry, grid: GridSpec, frequency_hz: float,
 
 
 def power_map(geometry: ArrayGeometry, R: np.ndarray, grid: GridSpec,
-              frequency_hz: float, c_mps: float = SPEED_OF_SOUND_MPS, *,
+              frequency_hz: float, c_mps: float, *,
               beamformer: str = "bartlett", loading: float = 0.0) -> PowerMap:
     """Scan the chosen beamformer's output power over the grid."""
     az, el = grid.axes()
@@ -209,7 +209,7 @@ def power_map(geometry: ArrayGeometry, R: np.ndarray, grid: GridSpec,
 
 def psf(geometry: ArrayGeometry, source: Direction, source_power: float,
         noise_power: float, grid: GridSpec, frequency_hz: float,
-        c_mps: float = SPEED_OF_SOUND_MPS, *, beamformer: str = "bartlett",
+        c_mps: float, *, beamformer: str = "bartlett",
         loading: float = 0.0) -> tuple:
     """Single-point-source response map plus its lobe metrics."""
     if not source_power > 0:

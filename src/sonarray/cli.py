@@ -19,6 +19,7 @@ import itertools
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import (__version__, acquisition, beamforming, framing, pipeline,
                waveform)
@@ -26,7 +27,7 @@ from .errors import ConfigError, SonarrayError
 from .geometry import (DEFAULT_DIAMETER_M, DEFAULT_ELEMENT_COUNT,
                        SPEED_OF_SOUND_MPS, Direction,
                        build_uniform_circular_array, load_geometry_csv)
-from .signalmodel import covariance_analytic, load_scene_file, parse_key_values
+from .signalmodel import PointSource, Scene, covariance_analytic
 from .waveform import ChirpSpec, generate_chirp
 
 # The stock sensor, stated once: the library takes every value as an argument.
@@ -43,13 +44,11 @@ DEFAULTS = {
     "grid.el_start": "-90",
     "grid.el_stop": "90",
     "grid.el_step": "1",
-    "beamformer.kind": "mvdr",
     "beamformer.loading": "0",
     "psf.sources": "0,0;30,0;-45,-15",
     "psf.beamformers": "bartlett,mvdr",
     "psf.power": "1",
     "psf.noise_power": "0.01",
-    "scene.file": "",
     "chirp.f_start_hz": "36000",
     "chirp.f_end_hz": "44000",
     "chirp.duration_s": "0.003",
@@ -188,6 +187,18 @@ class Config:
             raise ConfigError.from_field("decode.", exc) from None
 
 
+def parse_key_values(lines, source: str):
+    """Stripped (key, value) of each "key = value" line of a config file,
+    split on the first "="; "#" starts a comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}", "expected 'key = value'")
+        yield tuple(part.strip() for part in line.split("=", 1))
+
+
 def build_config(args, extra_overrides) -> Config:
     values = {}
     if args.config:
@@ -206,20 +217,47 @@ def build_config(args, extra_overrides) -> Config:
     return Config(values)
 
 
-def _parse_sources(text: str) -> list:
+def _parse_sources(text: str, default_power: float) -> list:
+    """PointSources of "az,el" or "az,el,power" items split on ";"; an
+    item without a power has ``default_power``."""
     sources = []
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         pieces = part.split(",")
-        if len(pieces) != 2:
-            raise ConfigError("psf.sources", f"expected 'az,el' pairs, got {part!r}")
+        if len(pieces) not in (2, 3):
+            raise ConfigError("psf.sources", f"expected 'az,el' or 'az,el,power' items, "
+                                             f"got {part!r}")
         try:
-            sources.append(Direction(float(pieces[0]), float(pieces[1])))
+            values = [float(piece) for piece in pieces]
+            power = values[2] if len(values) == 3 else default_power
+            if not 0 < power < math.inf:
+                raise ValueError(f"power must be finite and > 0, got {pieces[2].strip()}")
+            sources.append(PointSource(Direction(values[0], values[1]), power))
         except ValueError as exc:
             raise ConfigError("psf.sources", str(exc)) from None
     return sources
+
+
+def _analytic(cfg: Config) -> SimpleNamespace:
+    """What the analytic maps of ``psf`` and ``scan`` read: the array, grid,
+    frequency and speed of sound, the sources, the noise power, and the
+    beamformers with their loading."""
+    geometry = cfg.geometry()
+    grid = cfg.grid()
+    sources = _parse_sources(cfg.get("psf.sources"),
+                             cfg.get_float("psf.power", positive=True))
+    beamformers = [b.strip() for b in cfg.get("psf.beamformers").split(",") if b.strip()]
+    for bf in beamformers:
+        if bf not in beamforming.BEAMFORMERS:
+            raise ConfigError("psf.beamformers", f"unknown beamformer {bf!r}")
+    return SimpleNamespace(
+        geometry=geometry, grid=grid, sources=sources, beamformers=beamformers,
+        frequency_hz=cfg.get_float("frequency_hz", positive=True),
+        c_mps=cfg.get_float("c_mps", positive=True),
+        noise_power=cfg.get_float("psf.noise_power", minimum=0),
+        loading=cfg.get_float("beamformer.loading", minimum=0))
 
 
 def _out_dir(args) -> Path:
@@ -267,70 +305,54 @@ def _write_metrics(path, metrics: beamforming.PsfMetrics) -> None:
         fh.write(f"peak_sidelobe_db = {metrics.peak_sidelobe_db:.4f}\n")
 
 
+def _save_map(pmap: beamforming.PowerMap, out: Path, stem: str, metadata: dict) -> None:
+    beamforming.save_power_map_csv(pmap, out / f"{stem}.csv")
+    beamforming.save_power_map_pgm(pmap, out / f"{stem}.pgm", metadata=metadata)
+
+
 def cmd_psf(args, extra) -> int:
-    cfg = build_config(args, extra)
-    geometry = cfg.geometry()
-    grid = cfg.grid()
-    sources = _parse_sources(cfg.get("psf.sources"))
-    if not sources:
+    run = _analytic(build_config(args, extra))
+    if not run.sources:
         print("psf: no sources requested; nothing to do", file=sys.stderr)
         return 0
-    beamformers = [b.strip() for b in cfg.get("psf.beamformers").split(",") if b.strip()]
-    for bf in beamformers:
-        if bf not in beamforming.BEAMFORMERS:
-            raise ConfigError("psf.beamformers", f"unknown beamformer {bf!r}")
-    frequency = cfg.get_float("frequency_hz", positive=True)
-    c_mps = cfg.get_float("c_mps", positive=True)
-    power = cfg.get_float("psf.power", positive=True)
-    noise = cfg.get_float("psf.noise_power", minimum=0)
-    loading = cfg.get_float("beamformer.loading", minimum=0)
+    maps = [(source, bf, *beamforming.psf(
+                run.geometry, source.direction, source.power, run.noise_power, run.grid,
+                run.frequency_hz, run.c_mps, beamformer=bf, loading=run.loading))
+            for source in run.sources for bf in run.beamformers]
     out = _out_dir(args)
-    for source in sources:
-        for bf in beamformers:
-            pmap, metrics = beamforming.psf(
-                geometry, source, power, noise, grid, frequency, c_mps,
-                beamformer=bf, loading=loading)
-            stem = f"psf_az{source.azimuth_deg:g}_el{source.elevation_deg:g}_{bf}"
-            beamforming.save_power_map_csv(pmap, out / f"{stem}.csv")
-            beamforming.save_power_map_pgm(pmap, out / f"{stem}.pgm", metadata={
-                "beamformer": bf,
-                "source_azimuth_deg": f"{source.azimuth_deg:g}",
-                "source_elevation_deg": f"{source.elevation_deg:g}",
-                "frequency_hz": f"{frequency:g}",
-            })
-            _write_metrics(out / f"{stem}_metrics.txt", metrics)
-            print(f"psf: wrote {stem} (peak sidelobe {metrics.peak_sidelobe_db:.1f} dB)")
+    for source, bf, pmap, metrics in maps:
+        az, el = source.direction.azimuth_deg, source.direction.elevation_deg
+        stem = f"psf_az{az:g}_el{el:g}_{bf}"
+        _save_map(pmap, out, stem, {
+            "beamformer": bf, "source_azimuth_deg": f"{az:g}",
+            "source_elevation_deg": f"{el:g}", "frequency_hz": f"{run.frequency_hz:g}"})
+        _write_metrics(out / f"{stem}_metrics.txt", metrics)
+        print(f"psf: wrote {stem} (peak sidelobe {metrics.peak_sidelobe_db:.1f} dB)")
     return 0
 
 
 def cmd_scan(args, extra) -> int:
-    cfg = build_config(args, extra)
-    scene_path = cfg.get("scene.file")
-    if not scene_path:
-        raise ConfigError("scene.file", "a scene description file is required")
-    try:
-        scene, frequency, c_mps = load_scene_file(scene_path)
-    except OSError as exc:
-        raise ConfigError("scene.file", str(exc)) from None
-    geometry = cfg.geometry()
-    grid = cfg.grid()
-    kind = cfg.get("beamformer.kind")
-    if kind not in beamforming.BEAMFORMERS:
-        raise ConfigError("beamformer.kind", f"unknown beamformer {kind!r}")
-    loading = cfg.get_float("beamformer.loading", minimum=0)
-    R = covariance_analytic(geometry, scene, frequency, c_mps)
-    pmap = beamforming.power_map(geometry, R, grid, frequency, c_mps,
-                                 beamformer=kind, loading=loading)
+    run = _analytic(build_config(args, extra))
+    if not run.sources:
+        print("scan: no sources requested; nothing to do", file=sys.stderr)
+        return 0
+    desired, *interferers = run.sources
+    R = covariance_analytic(run.geometry, Scene(desired, interferers, run.noise_power),
+                            run.frequency_hz, run.c_mps)
+    maps = [(bf, beamforming.power_map(run.geometry, R, run.grid, run.frequency_hz,
+                                       run.c_mps, beamformer=bf, loading=run.loading))
+            for bf in run.beamformers]
     out = _out_dir(args)
-    beamforming.save_power_map_csv(pmap, out / "scan.csv")
-    beamforming.save_power_map_pgm(pmap, out / "scan.pgm", metadata={
-        "beamformer": kind, "frequency_hz": f"{frequency:g}"})
-    peaks = beamforming.doa_peaks(pmap, max_peaks=5, min_separation_deg=5.0)
-    with open(out / "scan_peaks.txt", "w") as fh:
-        for direction, value in peaks:
-            fh.write(f"{direction.azimuth_deg:.10g},{direction.elevation_deg:.10g},"
-                     f"{value:.10g}\n")
-    print(f"scan: wrote scan.csv/.pgm with {len(peaks)} peak(s)")
+    for bf, pmap in maps:
+        stem = f"scan_{bf}"
+        _save_map(pmap, out, stem, {"beamformer": bf,
+                                    "frequency_hz": f"{run.frequency_hz:g}"})
+        peaks = beamforming.doa_peaks(pmap, max_peaks=5, min_separation_deg=5.0)
+        with open(out / f"{stem}_peaks.txt", "w") as fh:
+            for direction, value in peaks:
+                fh.write(f"{direction.azimuth_deg:.10g},{direction.elevation_deg:.10g},"
+                         f"{value:.10g}\n")
+        print(f"scan: wrote {stem}.csv/.pgm with {len(peaks)} peak(s)")
     return 0
 
 
@@ -459,7 +481,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("psf", parents=[common],
                    help="point-source response maps and lobe metrics")
-    sub.add_parser("scan", parents=[common], help="power-map scan of a scene file")
+    sub.add_parser("scan", parents=[common],
+                   help="power maps of all sources at once, with their peaks")
     sub.add_parser("chirp", parents=[common], help="emit the probe waveform")
     sub.add_parser("simulate", parents=[common],
                    help="frame stream of pings echoed by a reflector")

@@ -17,18 +17,18 @@ class ConfigError(SonarrayError):
         super().__init__(f"{field}: {message}")
 
     @classmethod
-    def from_field(cls, prefix: str, exc: ValueError, suffix: str = "") -> "ConfigError":
+    def from_field(cls, prefix: str, exc: ValueError) -> "ConfigError":
         """Re-key a ValueError worded "<field> <complaint>" under its key.
 
-        The dataclasses that check config and scene values (GridSpec,
-        ChirpSpec, Direction, ReflectorTarget, PointSource, Scene, Sensor)
-        name the bad field first, e.g. "strength must lie in (0, 1]".  The key is
-        ``prefix`` + field, or the field alone when it is already a dotted
-        key such as "grid.az_step", so the message names the key once.
+        The dataclasses that check config values (GridSpec, ChirpSpec,
+        Direction, ReflectorTarget, Sensor) name the bad field first, e.g.
+        "strength must lie in (0, 1]".  The key is ``prefix`` + field, or
+        the field alone when it is already a dotted key such as
+        "grid.az_step", so the message names the key once.
         """
         field, _, message = str(exc).partition(" ")
         key = field if "." in field else prefix + field
-        return cls(key, message + suffix)
+        return cls(key, message)
 
 
 class SingularMatrixError(SonarrayError):

@@ -114,7 +114,7 @@ def direction_unit_vector(d: Direction) -> np.ndarray:
 
 
 def steering_matrix(geometry: ArrayGeometry, azimuth_deg, elevation_deg,
-                    frequency_hz: float, c_mps: float = SPEED_OF_SOUND_MPS) -> np.ndarray:
+                    frequency_hz: float, c_mps: float) -> np.ndarray:
     """Steering vectors for many directions at once.
 
     ``azimuth_deg`` and ``elevation_deg`` are broadcast against each other

@@ -12,17 +12,11 @@ captures), and :func:`sample_covariance` estimates R from them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .geometry import (SPEED_OF_SOUND_MPS, ArrayGeometry, Direction,
-                       steering_matrix)
-
-_SCENE_KEYS = ("noise_power", "frequency_hz", "c_mps")
-_SOURCE_KEYS = ("azimuth_deg", "elevation_deg", "power")
+from .geometry import ArrayGeometry, Direction, steering_matrix
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ class SnapshotBlock:
 
 
 def covariance_analytic(geometry: ArrayGeometry, scene: Scene, frequency_hz: float,
-                        c_mps: float = SPEED_OF_SOUND_MPS) -> np.ndarray:
+                        c_mps: float) -> np.ndarray:
     """Exact second-order covariance of the scene at one frequency."""
     directions = [scene.desired.direction] + [s.direction for s in scene.interferers]
     D = steering_matrix(geometry, [d.azimuth_deg for d in directions],
@@ -88,86 +82,4 @@ def sample_covariance(block: SnapshotBlock) -> np.ndarray:
     Y = block.samples
     R = (Y @ Y.conj().T) / block.n_snapshots
     return (R + R.conj().T) / 2.0
-
-
-# -- scene description files -------------------------------------------------
-#
-# Flat key-value text (see parse_key_values).  The desired
-# source uses keys desired.azimuth_deg / desired.elevation_deg /
-# desired.power; every "interferer.azimuth_deg" line begins a new
-# interferer block.  Top-level keys: noise_power, frequency_hz, c_mps.
-
-
-def parse_key_values(lines, source: str):
-    """Stripped (key, value) of each "key = value" line of a config or
-    scene file, split on the first "="; "#" starts a comment."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}", "expected 'key = value'")
-        yield tuple(part.strip() for part in line.split("=", 1))
-
-
-def parse_scene_text(text: str, source: str = "<scene>") -> tuple:
-    """Parse scene text; returns (Scene, frequency_hz, c_mps)."""
-    top = {}
-    desired = {}
-    interferers = []
-    current = None
-    for key, value in parse_key_values(text.splitlines(), source):
-        try:
-            number = float(value)
-        except ValueError:
-            raise ConfigError(key, f"not a number: {value!r}") from None
-        if not math.isfinite(number):
-            raise ConfigError(key, f"must be finite, got {value!r}")
-        group, _, sub = key.partition(".")
-        if group == "desired" and sub in _SOURCE_KEYS:
-            desired[sub] = number
-        elif group == "interferer" and sub in _SOURCE_KEYS:
-            if sub == "azimuth_deg" or current is None:
-                current = {}
-                interferers.append(current)
-            current[sub] = number
-        elif key in _SCENE_KEYS:
-            top[key] = number
-        else:
-            raise ConfigError(key, "unknown scene key")
-    for req in _SOURCE_KEYS:
-        if req not in desired:
-            raise ConfigError(f"desired.{req}", "missing from scene description")
-    sources = []
-    for i, block in enumerate(interferers):
-        for req in _SOURCE_KEYS:
-            if req not in block:
-                raise ConfigError(f"interferer.{req}", f"missing in interferer block {i + 1}")
-        sources.append(_point_source(block, "interferer.", f" (interferer block {i + 1})"))
-    desired_source = _point_source(desired, "desired.")
-    try:
-        scene = Scene(desired=desired_source, interferers=tuple(sources),
-                      noise_power=top.get("noise_power", 0.0))
-    except ValueError as exc:
-        raise ConfigError.from_field("", exc) from None
-    if "frequency_hz" not in top:
-        raise ConfigError("frequency_hz", "missing from scene description")
-    top.setdefault("c_mps", SPEED_OF_SOUND_MPS)
-    for key in ("frequency_hz", "c_mps"):
-        if not top[key] > 0:
-            raise ConfigError(key, f"must be > 0, got {top[key]!r}")
-    return scene, top["frequency_hz"], top["c_mps"]
-
-
-def _point_source(values: dict, prefix: str, where: str = "") -> PointSource:
-    try:
-        return PointSource(Direction(values["azimuth_deg"], values["elevation_deg"]),
-                           values["power"])
-    except ValueError as exc:
-        raise ConfigError.from_field(prefix, exc, where) from None
-
-
-def load_scene_file(path) -> tuple:
-    with open(path) as fh:
-        return parse_scene_text(fh.read(), source=str(path))
 

@@ -12,10 +12,10 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.signal
 
 from .errors import UnreliableEstimateError
-from .geometry import SPEED_OF_SOUND_MPS
 
 PCM_MAGIC = b"PCM1"
 _PCM_HEADER = struct.Struct("<4sIdQ")
@@ -128,29 +128,46 @@ def matched_filter(received: PcmTrace, template: PcmTrace) -> PcmTrace:
     return PcmTrace(samples=out, sample_rate_hz=received.sample_rate_hz)
 
 
-def estimate_range(mf_output: PcmTrace, emission_start_index: int,
-                   c_mps: float = SPEED_OF_SOUND_MPS, *,
+def estimate_range(mf_output: PcmTrace, emission_start_index: int, c_mps: float, *,
                    template_length: int) -> RangeEstimate:
     """Locate the strongest correlation peak and convert it to range.
 
-    The peak is the argmax of the raw correlation (echoes are synthesized
-    with positive polarity).  The noise floor is the median magnitude
-    outside +-2 template lengths of the peak; a peak within one template
-    length of either trace edge, or earlier than the emission start, is
-    rejected as unreliable.
+    The echo's lobe is the peak of the correlation's envelope, the
+    magnitude of its analytic signal over one template length either side
+    of the raw argmax, so noise lifting a neighbouring carrier fringe
+    above the true one does not move the estimate by a carrier period.
+    The peak is the crest of the raw correlation (echoes are synthesized
+    with positive polarity) climbed to from the envelope's peak.  The
+    noise floor is the median magnitude outside +-2 template lengths of
+    the peak; a peak, raw or climbed, within one template length of
+    either trace edge, or earlier than the emission start, is rejected as
+    unreliable.
     """
     samples = mf_output.samples
     if samples.size == 0:
         raise ValueError("matched-filter output must be non-empty")
     if template_length < 1:
         raise ValueError("template_length must be >= 1")
-    peak_idx = int(np.argmax(samples))
     guard = template_length
-    if peak_idx < guard or peak_idx >= samples.size - guard:
-        raise UnreliableEstimateError(
-            f"correlation peak at {peak_idx} is within {guard} samples of a trace edge")
-    if peak_idx < emission_start_index:
-        raise UnreliableEstimateError("correlation peak precedes the emission start")
+
+    def checked(index: int) -> int:
+        if index < guard or index >= samples.size - guard:
+            raise UnreliableEstimateError(
+                f"correlation peak at {index} is within {guard} samples of a trace edge")
+        if index < emission_start_index:
+            raise UnreliableEstimateError("correlation peak precedes the emission start")
+        return index
+
+    start = checked(int(np.argmax(samples))) - guard
+    lobe = samples[start:start + 2 * guard + 1]
+    # zero-padded to a fast FFT length: 2m + 1 is 1669, a prime, for the stock probe
+    analytic = scipy.signal.hilbert(lobe, N=scipy.fft.next_fast_len(lobe.size))
+    peak_idx = start + int(np.argmax(np.abs(analytic[:lobe.size])))
+    while peak_idx + 1 < samples.size and samples[peak_idx + 1] > samples[peak_idx]:
+        peak_idx += 1
+    while peak_idx > 0 and samples[peak_idx - 1] > samples[peak_idx]:
+        peak_idx -= 1
+    peak_idx = checked(peak_idx)
     delay_s = (peak_idx - emission_start_index) / mf_output.sample_rate_hz
     lo = max(peak_idx - 2 * template_length, 0)
     hi = min(peak_idx + 2 * template_length + 1, samples.size)

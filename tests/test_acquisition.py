@@ -27,7 +27,7 @@ def settling_samples(pdm_rate_hz, factor):
 class TestEchoGeometry:
     def test_boresight_delays_equal_across_ring(self, stock):
         target = ReflectorTarget(Direction(0, 0), 1.0)
-        delays, amps = echo_geometry(stock.sensor.geometry, target)
+        delays, amps = echo_geometry(stock.sensor.geometry, target, stock.sensor.c_mps)
         # ring is symmetric about boresight: identical path lengths
         assert (delays.max() - delays.min()) * stock.spec.sample_rate_hz < 1.0
         expected = (1.0 + math.sqrt(1.0 + 0.015 ** 2)) / 343.0
@@ -37,8 +37,8 @@ class TestEchoGeometry:
     def test_two_way_spreading_quarters_with_doubled_range(self, stock):
         near = ReflectorTarget(Direction(20, 10), 1.0)
         far = ReflectorTarget(Direction(20, 10), 2.0)
-        _, a_near = echo_geometry(stock.sensor.geometry, near)
-        _, a_far = echo_geometry(stock.sensor.geometry, far)
+        _, a_near = echo_geometry(stock.sensor.geometry, near, stock.sensor.c_mps)
+        _, a_far = echo_geometry(stock.sensor.geometry, far, stock.sensor.c_mps)
         assert np.all(np.abs(a_far / a_near - 0.25) <= 0.01 * 0.25)
 
     def test_target_validation(self):
@@ -52,14 +52,14 @@ class TestSynthesizeCapture:
     def test_determinism(self, stock):
         target = ReflectorTarget(Direction(0, 0), 1.0)
         a, b = (synthesize_capture(stock.sensor.geometry, target, stock.sensor.chirp, 20.0,
-                                   rng_seed=5, window_s=0.02) for _ in range(2))
+                                   stock.sensor.c_mps, rng_seed=5, window_s=0.02) for _ in range(2))
         for ta, tb in zip(a.channels, b.channels):
             assert np.array_equal(ta.samples, tb.samples)
 
     def test_channels_share_shape(self, stock):
         target = ReflectorTarget(Direction(25, -10), 1.5)
         cap = synthesize_capture(stock.sensor.geometry, target, stock.sensor.chirp, 30.0,
-                                 rng_seed=1, window_s=0.03)
+                                 stock.sensor.c_mps, rng_seed=1, window_s=0.03)
         assert len(cap.channels) == 16
         assert cap.n_samples == int(0.03 * stock.spec.sample_rate_hz)
         assert cap.emission_marker == 0
@@ -68,8 +68,8 @@ class TestSynthesizeCapture:
         # strength has an open lower bound, so approximate zero with tiny
         template = stock.sensor.chirp
         target = ReflectorTarget(Direction(0, 0), 1.0, strength=1e-12)
-        cap = synthesize_capture(stock.sensor.geometry, target, template, 80.0, rng_seed=2,
-                                 window_s=0.02)
+        cap = synthesize_capture(stock.sensor.geometry, target, template, 80.0,
+                                 stock.sensor.c_mps, rng_seed=2, window_s=0.02)
         x = cap.channels[0].samples
         leak = 10.0 ** (-20.0 / 20.0)
         span = len(template)
@@ -80,9 +80,9 @@ class TestSynthesizeCapture:
     def test_echo_lands_at_expected_delay(self, stock):
         geometry, template = stock.sensor.geometry, stock.sensor.chirp
         target = ReflectorTarget(Direction(0, 0), 1.0)
-        cap = synthesize_capture(geometry, target, template, 60.0, rng_seed=3,
-                                 window_s=0.02)
-        delays, amps = echo_geometry(geometry, target)
+        cap = synthesize_capture(geometry, target, template, 60.0,
+                                 stock.sensor.c_mps, rng_seed=3, window_s=0.02)
+        delays, amps = echo_geometry(geometry, target, stock.sensor.c_mps)
         x = cap.channels[0].samples
         start = int(round(delays[0] * stock.spec.sample_rate_hz))
         segment = x[start:start + len(template)]
@@ -94,7 +94,7 @@ class TestSynthesizeCapture:
         target = ReflectorTarget(Direction(0, 0), 3.0)
         with pytest.raises(ValueError, match="window"):
             synthesize_capture(stock.sensor.geometry, target, stock.sensor.chirp, 20.0,
-                               window_s=0.01)
+                               stock.sensor.c_mps, window_s=0.01)
 
 
 class TestPdmModulate:
@@ -240,13 +240,13 @@ class TestDemodulation:
         tone = generate_chirp(dataclasses.replace(stock.spec, f_start_hz=40_000.0,
                                                   f_end_hz=40_000.0))
         target = ReflectorTarget(Direction(25.0, 0.0), 1.0)
-        cap = synthesize_capture(geometry, target, tone, 10.0, rng_seed=21,
+        cap = synthesize_capture(geometry, target, tone, 10.0, stock.sensor.c_mps, rng_seed=21,
                                  window_s=0.02)
-        delays, _ = echo_geometry(geometry, target)
+        delays, _ = echo_geometry(geometry, target, stock.sensor.c_mps)
         start = cap.emission_marker + int(round(delays.mean() * cap.sample_rate_hz))
         block = demodulate_capture(cap, 40_000.0, gate=(start, start + len(tone)))
         R = sample_covariance(block)
-        pmap = power_map(geometry, R, stock.sensor.grid, 40_000.0,
+        pmap = power_map(geometry, R, stock.sensor.grid, 40_000.0, stock.sensor.c_mps,
                          beamformer="mvdr", loading=1e-3)
         (top, _), = doa_peaks(pmap, max_peaks=1, min_separation_deg=5.0)
         assert abs(top.azimuth_deg - 25.0) <= 2.0
@@ -255,9 +255,9 @@ class TestDemodulation:
     def test_boresight_capture_yields_coherent_snapshots(self, stock):
         geometry, template = stock.sensor.geometry, stock.sensor.chirp
         target = ReflectorTarget(Direction(0, 0), 1.0)
-        cap = synthesize_capture(geometry, target, template, 40.0, rng_seed=4,
-                                 window_s=0.02)
-        delays, _ = echo_geometry(geometry, target)
+        cap = synthesize_capture(geometry, target, template, 40.0,
+                                 stock.sensor.c_mps, rng_seed=4, window_s=0.02)
+        delays, _ = echo_geometry(geometry, target, stock.sensor.c_mps)
         start = int(round(delays[0] * cap.sample_rate_hz))
         block = demodulate_capture(cap, 40_000.0, gate=(start, start + len(template)))
         assert block.samples.shape[0] == 16
@@ -270,7 +270,7 @@ class TestDemodulation:
     def test_gate_matches_full_length_filter(self, stock):
         target = ReflectorTarget(Direction(20, 5), 1.0)
         cap = synthesize_capture(stock.sensor.geometry, target, stock.sensor.chirp, 30.0,
-                                 rng_seed=4, window_s=0.02)
+                                 stock.sensor.c_mps, rng_seed=4, window_s=0.02)
         fs = cap.sample_rate_hz
         n = cap.n_samples
         t = np.arange(n) / fs
@@ -289,7 +289,7 @@ class TestDemodulation:
     def test_gate_validation(self, stock):
         target = ReflectorTarget(Direction(0, 0), 1.0)
         cap = synthesize_capture(stock.sensor.geometry, target, stock.sensor.chirp, 40.0,
-                                 rng_seed=4, window_s=0.02)
+                                 stock.sensor.c_mps, rng_seed=4, window_s=0.02)
         with pytest.raises(ValueError):
             demodulate_capture(cap, 40_000.0, gate=(100, 50))
         with pytest.raises(ValueError):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from sonarray import cli, waveform
-from sonarray.beamforming import GridSpec
+from sonarray.beamforming import GridSpec, power_map, psf, save_power_map_csv
 from sonarray.cli import DEFAULTS, Config, main
 from sonarray.framing import Frame, encode_frame, parse_stream
-from sonarray.geometry import default_circular_array, geometry_fingerprint
+from sonarray.geometry import Direction, default_circular_array, geometry_fingerprint
+from sonarray.signalmodel import PointSource, Scene, covariance_analytic
 from sonarray.waveform import ChirpSpec
 
 
@@ -109,76 +110,88 @@ class TestPsfCommand:
         assert len(list(tmp_path.glob("*.csv"))) == 1
 
 
+def analytic_map_csv(path, sources, beamformer, *settings):
+    """``power_map`` of ``covariance_analytic`` over (az, el, power)
+    sources, the first the scene's desired one, at a config of the default
+    keys plus ``settings``, written as CSV to ``path``; its bytes."""
+    cfg = Config(dict(item.split("=", 1) for item in settings))
+    frequency, c = cfg.get_float("frequency_hz"), cfg.get_float("c_mps")
+    desired, *interferers = [PointSource(Direction(az, el), power) for az, el, power in sources]
+    R = covariance_analytic(cfg.geometry(), Scene(desired, interferers,
+                                                  cfg.get_float("psf.noise_power")),
+                            frequency, c)
+    save_power_map_csv(power_map(cfg.geometry(), R, cfg.grid(), frequency, c,
+                                 beamformer=beamformer), path)
+    return path.read_bytes()
+
+
 class TestScanCommand:
-    def test_scene_scan(self, tmp_path):
-        scene = tmp_path / "scene.txt"
-        scene.write_text(
-            "frequency_hz = 40000\nc_mps = 343\nnoise_power = 0.01\n"
-            "desired.azimuth_deg = 10\ndesired.elevation_deg = 0\ndesired.power = 1\n"
-            "interferer.azimuth_deg = -40\ninterferer.elevation_deg = 5\n"
-            "interferer.power = 2\n")
-        rc = run(["scan", "--out", str(tmp_path), "--set", f"scene.file={scene}",
-                  "--set", "grid.az_step=2", "--set", "grid.el_step=2"])
-        assert rc == 0
-        assert (tmp_path / "scan.csv").exists()
-        assert (tmp_path / "scan.pgm").exists()
-        peaks = (tmp_path / "scan_peaks.txt").read_text().splitlines()
-        assert len(peaks) >= 2
+    SETTINGS = ("psf.sources=10,0;-40,5,2", "grid.az_step=5", "grid.el_step=5",
+                "c_mps=1500", "frequency_hz=30000")
 
-    def test_missing_scene_file_is_config_error(self, tmp_path, capsys):
-        rc = run(["scan", "--out", str(tmp_path)])
-        assert rc == 2
-        assert "scene.file" in capsys.readouterr().err
-
-    def test_misspelled_scene_key_is_config_error(self, tmp_path, capsys):
-        scene = tmp_path / "scene.txt"
-        scene.write_text(
-            "frequency_hz = 40000\nnoise_pwr = 0.5\n"
-            "desired.azimuth_deg = 0\ndesired.elevation_deg = 0\n"
-            "desired.power = 1\n")
-        rc = run(["scan", "--out", str(tmp_path), "--set", f"scene.file={scene}"])
-        assert rc == 2
-        assert "noise_pwr" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key, value", [
-        ("desired.azimuth_deg", "120"),
-        ("desired.elevation_deg", "nan"),
-        ("desired.power", "-1"),
-        ("interferer.azimuth_deg", "-95"),
-        ("interferer.power", "inf"),
-        ("noise_power", "-0.5"),
-        ("frequency_hz", "inf"),
-        ("frequency_hz", "0"),
-        ("c_mps", "0"),
-        ("c_mps", "-343"),
-    ])
-    def test_bad_scene_value_exits_2_naming_the_key_once(self, tmp_path, capsys,
-                                                          key, value):
-        lines = {"frequency_hz": "40000", "c_mps": "343", "noise_power": "0.01",
-                 "desired.azimuth_deg": "10", "desired.elevation_deg": "0",
-                 "desired.power": "1", "interferer.azimuth_deg": "-40",
-                 "interferer.elevation_deg": "5", "interferer.power": "2"}
-        lines[key] = value
-        scene = tmp_path / "scene.txt"
-        scene.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    def test_maps_all_sources_at_the_configured_frequency_and_speed(self, tmp_path):
         out = tmp_path / "out"
-        rc = run(["scan", "--out", str(out), "--set", f"scene.file={scene}"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert key in err
-        assert err.count(key.rpartition(".")[2]) == 1
+        assert run(["scan", "--out", str(out)]
+                   + [arg for item in self.SETTINGS for arg in ("--set", item)]) == 0
+        for bf in ("bartlett", "mvdr"):
+            expected = analytic_map_csv(tmp_path / f"{bf}.csv", [(10, 0, 1.0), (-40, 5, 2.0)],
+                                        bf, *self.SETTINGS)
+            assert (out / f"scan_{bf}.csv").read_bytes() == expected
+            assert (out / f"scan_{bf}.pgm").exists()
+            assert (out / f"scan_{bf}.pgm.meta.txt").exists()
+        # at a 5 cm wavelength on the 3 cm ring Bartlett merges the two
+        # sources into one lobe, and MVDR resolves them
+        peaks = [tuple(float(v) for v in line.split(",")[:2])
+                 for line in (out / "scan_mvdr_peaks.txt").read_text().splitlines()]
+        assert sorted(peaks) == [(-40.0, 5.0), (10.0, 0.0)]
+        assert len((out / "scan_bartlett_peaks.txt").read_text().splitlines()) == 1
+
+    def test_config_file_sources_match_set_overrides(self, tmp_path):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text("psf.sources = 10,0;-40,5,2\ngrid.az_step = 5\ngrid.el_step = 5\n")
+        assert run(["scan", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert run(["scan", "--out", str(tmp_path / "b"), "--set", "psf.sources=10,0;-40,5,2",
+                    "--set", "grid.az_step=5", "--set", "grid.el_step=5"]) == 0
+        for name in ("scan_bartlett.csv", "scan_mvdr.csv", "scan_mvdr_peaks.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("key", ["scene.file", "beamformer.kind"])
+    def test_scene_file_and_single_beamformer_keys_are_unknown(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        assert run(["scan", "--out", str(out), "--set", f"{key}=mvdr"]) == 2
+        assert f"{key}: unknown configuration key" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_singular_covariance_is_runtime_error(self, tmp_path, capsys):
-        scene = tmp_path / "scene.txt"
-        scene.write_text(
-            "frequency_hz = 40000\nnoise_power = 0\n"
-            "desired.azimuth_deg = 0\ndesired.elevation_deg = 0\n"
-            "desired.power = 0\n")
-        rc = run(["scan", "--out", str(tmp_path), "--set", f"scene.file={scene}",
-                  "--set", "beamformer.loading=0"])
+    def test_empty_source_list_is_noop(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["scan", "--out", str(out), "--set", "psf.sources="]) == 0
+        assert "nothing to do" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["psf", "scan"])
+    def test_singular_covariance_is_runtime_error_writing_nothing(self, tmp_path, capsys,
+                                                                  command):
+        out = tmp_path / "out"
+        rc = run([command, "--out", str(out), "--set", "psf.sources=0,0",
+                  "--set", "psf.noise_power=0", "--set", "beamformer.loading=0",
+                  "--set", "grid.az_step=5", "--set", "grid.el_step=5"])
         assert rc == 3
         assert "loading" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_psf_source_power_is_the_items_third_value(self, stock, tmp_path):
+        out = tmp_path / "out"
+        settings = ("grid.az_step=5", "grid.el_step=5")
+        assert run(["psf", "--out", str(out), "--set", "psf.sources=10,5,4"]
+                   + [arg for item in settings for arg in ("--set", item)]) == 0
+        grid = Config(dict(item.split("=", 1) for item in settings)).grid()
+        s = stock.sensor
+        for bf in ("bartlett", "mvdr"):
+            pmap, _ = psf(s.geometry, Direction(10, 5), 4.0, float(DEFAULTS["psf.noise_power"]),
+                          grid, s.frequency_hz, s.c_mps, beamformer=bf)
+            save_power_map_csv(pmap, tmp_path / f"{bf}.csv")
+            assert ((out / f"psf_az10_el5_{bf}.csv").read_bytes()
+                    == (tmp_path / f"{bf}.csv").read_bytes())
 
 
 class TestGeometryKeys:
@@ -455,6 +468,11 @@ class TestBadConfigValues:
         ("psf", "grid.el_start", "nan"),
         ("psf", "grid.az_stop", "1e308"),
         ("psf", "grid.el_start", "-200"),
+        *((command, "psf.sources", value) for command in ("psf", "scan")
+          for value in ("120,0", "10", "10,0,-1", "10,0,inf")),
+        ("scan", "psf.noise_power", "-1"),
+        ("scan", "frequency_hz", "inf"),
+        ("scan", "c_mps", "inf"),
         ("chirp", "chirp.f_end_hz", "200000"),
         # a probe under one sample period, one of more samples than a float
         # holds, and one no ping window holds

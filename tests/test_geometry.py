@@ -158,7 +158,7 @@ class TestSteeringVector:
         g = default_circular_array()
         az = [0.0, 30.0, -45.0]
         el = [0.0, 0.0, -15.0]
-        D = steering_matrix(g, az, el, 40_000.0)
+        D = steering_matrix(g, az, el, 40_000.0, 343.0)
         for col, (a, e) in enumerate(zip(az, el)):
             sv = look_vector(g, Direction(a, e), 40_000.0)
             assert np.max(np.abs(D[:, col] - sv)) <= 1e-12

@@ -141,6 +141,20 @@ def test_every_key_read_or_named_is_a_config_key():
     assert sorted(set(keys) - set(DEFAULTS) - {"input", "config", "--set"}) == []
 
 
+def test_only_the_cli_names_config_keys():
+    # ConfigError, the error that names a config key, is referenced only by
+    # the CLI and where it is defined and exported, so the library knows
+    # nothing of config keys or files
+    package = ROOT / "src" / "sonarray"
+    users = sorted(path.relative_to(package).as_posix() for path in package.rglob("*.py")
+                   if path.relative_to(package).as_posix()
+                   not in ("cli.py", "errors.py", "__init__.py") and any(
+                       getattr(node, "id", getattr(node, "attr", None)) == "ConfigError"
+                       or (isinstance(node, ast.alias) and node.name == "ConfigError")
+                       for node in ast.walk(ast.parse(path.read_text(), str(path)))))
+    assert users == []
+
+
 def test_every_top_level_import_is_used():
     # a name a package module imports at top level must be referenced in
     # that module, and "import a.b" by its dotted name a.b, so a deleted

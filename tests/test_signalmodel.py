@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from sonarray.errors import ConfigError
 from sonarray.geometry import Direction, steering_matrix
 from sonarray.signalmodel import (PointSource, Scene, SnapshotBlock,
-                                  covariance_analytic, load_scene_file,
-                                  parse_scene_text, sample_covariance)
+                                  covariance_analytic, sample_covariance)
 
 def brute_force_covariance(sensor, scene):
     """Independent oracle: explicit elementwise sum of the model terms, at
@@ -150,50 +148,4 @@ class TestSnapshots:
     def test_snapshot_count_validation(self):
         with pytest.raises(ValueError):
             SnapshotBlock(samples=np.zeros((16, 0), dtype=complex), sample_rate_hz=1.0)
-
-
-class TestSceneFiles:
-    def test_round_trip(self, stock, tmp_path):
-        s = stock.sensor
-        scene = Scene(desired=PointSource(Direction(0, 0), 1.0),
-                      interferers=(PointSource(Direction(25, 5), 4.0),
-                                   PointSource(Direction(-40, 0), 0.5)),
-                      noise_power=0.01)
-        path = tmp_path / "scene.txt"
-        path.write_text("frequency_hz = 40000\n"
-                        "c_mps = 343\n"
-                        "noise_power = 0.01\n"
-                        "desired.azimuth_deg = 0\n"
-                        "desired.elevation_deg = 0\n"
-                        "desired.power = 1\n"
-                        "interferer.azimuth_deg = 25\n"
-                        "interferer.elevation_deg = 5\n"
-                        "interferer.power = 4\n"
-                        "interferer.azimuth_deg = -40\n"
-                        "interferer.elevation_deg = 0\n"
-                        "interferer.power = 0.5\n")
-        parsed, freq, c = load_scene_file(path)
-        assert freq == s.frequency_hz and c == s.c_mps
-        assert parsed.noise_power == scene.noise_power
-        assert len(parsed.interferers) == 2
-        assert parsed.interferers[1].power == 0.5
-        R1 = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
-        R2 = covariance_analytic(s.geometry, parsed, freq, c)
-        assert np.max(np.abs(R1 - R2)) <= 1e-12
-
-    def test_missing_frequency_rejected(self):
-        text = "desired.azimuth_deg = 0\ndesired.elevation_deg = 0\ndesired.power = 1\n"
-        with pytest.raises(ConfigError, match="frequency_hz"):
-            parse_scene_text(text)
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_scene_text("desired.power 1\n")
-
-    @pytest.mark.parametrize("key", ["noise_pwr", "desired.powr", "interferer.pwr"])
-    def test_unknown_key_rejected(self, key):
-        text = ("frequency_hz = 40000\ndesired.azimuth_deg = 0\n"
-                f"desired.elevation_deg = 0\ndesired.power = 1\n{key} = 0.5\n")
-        with pytest.raises(ConfigError, match=key):
-            parse_scene_text(text)
 

@@ -159,7 +159,7 @@ class TestEstimateRange:
         fs = stock.spec.sample_rate_hz
         received, template, delay = self.synthesize(stock.spec, 1.0)
         out = matched_filter(PcmTrace(received, fs), template)
-        est = estimate_range(out, 0, template_length=len(template))
+        est = estimate_range(out, 0, stock.sensor.c_mps, template_length=len(template))
         # true two-way delay 2/343 s -> lag 1621.7 at this rate
         assert abs(int(np.argmax(out.samples)) - delay * fs) <= 1.0
         assert abs(est.range_m - 1.0) <= 0.001
@@ -173,7 +173,7 @@ class TestEstimateRange:
         trace = np.zeros(n)
         trace[2000:2000 + len(template)] = template.samples
         out = matched_filter(PcmTrace(trace, fs), template)
-        est = estimate_range(out, 2000, template_length=len(template))
+        est = estimate_range(out, 2000, stock.sensor.c_mps, template_length=len(template))
         assert est.delay_s == 0.0
         assert est.range_m == 0.0
 
@@ -188,14 +188,14 @@ class TestEstimateRange:
         trace[start:] = tail
         out = matched_filter(PcmTrace(trace, fs), template)
         with pytest.raises(UnreliableEstimateError):
-            estimate_range(out, 0, template_length=len(template))
+            estimate_range(out, 0, stock.sensor.c_mps, template_length=len(template))
 
     def test_peak_before_emission_rejected(self, stock):
         fs = stock.spec.sample_rate_hz
         received, template, _ = self.synthesize(stock.spec, 1.0)
         out = matched_filter(PcmTrace(received, fs), template)
         with pytest.raises(UnreliableEstimateError):
-            estimate_range(out, 7000, template_length=len(template))
+            estimate_range(out, 7000, stock.sensor.c_mps, template_length=len(template))
 
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0])
     def test_round_trip_identity_with_noise(self, stock, snr_db):
@@ -205,7 +205,7 @@ class TestEstimateRange:
         sigma = 10.0 ** (-snr_db / 20.0)
         noisy = received + sigma * rng.standard_normal(received.size)
         out = matched_filter(PcmTrace(noisy, fs), template)
-        est = estimate_range(out, 0, template_length=len(template))
+        est = estimate_range(out, 0, stock.sensor.c_mps, template_length=len(template))
         tolerance = 343.0 / (2 * fs) + 0.001
         assert abs(est.range_m - 0.8) <= tolerance
 
