@@ -118,11 +118,11 @@ class MultichannelCapture:
 def echo_geometry(geometry: ArrayGeometry, target: ReflectorTarget, c_mps: float):
     """Per-element two-way delays (s) and spreading amplitudes.
 
-    Transmit happens at the reference point; element l hears the echo at
-    (|r| + |r - p_l|)/c with amplitude strength/(|r| * |r - p_l|).
+    Transmit happens at the emitter, the origin; element l hears the echo
+    at (|r| + |r - p_l|)/c with amplitude strength/(|r| * |r - p_l|).
     """
-    r = target.range_m * direction_unit_vector(target.direction) + geometry.reference_point
-    d_tx = np.linalg.norm(r - geometry.reference_point)
+    r = target.range_m * direction_unit_vector(target.direction)
+    d_tx = np.linalg.norm(r)
     d_rx = np.linalg.norm(r - geometry.elements, axis=1)
     delays = (d_tx + d_rx) / c_mps
     amplitudes = target.strength / (d_tx * d_rx)
@@ -313,13 +313,13 @@ def pdm_decimate(stream: PdmStream, factor: int) -> PcmTrace:
 
 
 def demodulate_capture(capture: MultichannelCapture, carrier_hz: float, *,
-                       gate: tuple | None = None) -> SnapshotBlock:
+                       gate: tuple) -> SnapshotBlock:
     """Quadrature demodulation to complex-envelope snapshots.
 
     Each channel is mixed with exp(-j*2*pi*carrier*t) and low-pass
-    filtered (linear-phase FIR, delay-compensated); ``gate`` selects the
-    snapshot sample range, e.g. the echo region, and None keeps the whole
-    trace.  Only the gate plus the filter's half-length on either side is
+    filtered (linear-phase FIR, delay-compensated); ``gate``, a
+    (start, stop) pair, selects the snapshot sample range, e.g. the echo
+    region.  Only the gate plus the filter's half-length on either side is
     mixed and filtered; samples beyond the trace count as zero, so the
     result is the full-trace filter output sliced to the gate.
     """
@@ -327,7 +327,7 @@ def demodulate_capture(capture: MultichannelCapture, carrier_hz: float, *,
     if not 0 < carrier_hz < fs / 2:
         raise ValueError("carrier_hz must lie below Nyquist")
     n = capture.n_samples
-    start, stop = (0, n) if gate is None else gate
+    start, stop = gate
     if not 0 <= start < stop <= n:
         raise ValueError("gate must satisfy 0 <= start < stop <= n_samples")
     half = DEMOD_NUMTAPS // 2
@@ -337,7 +337,7 @@ def demodulate_capture(capture: MultichannelCapture, carrier_hz: float, *,
     mixed = np.pad(mixed, ((0, 0), (lo - (start - half), stop + half - hi)))
     taps = scipy.signal.firwin(DEMOD_NUMTAPS, DEMOD_CUTOFF_HZ, fs=fs)
     z = 2.0 * scipy.signal.fftconvolve(mixed, taps[None, :], mode="valid", axes=1)
-    return SnapshotBlock(samples=z, sample_rate_hz=fs)
+    return SnapshotBlock(samples=z)
 
 
 # -- file formats ------------------------------------------------------------

@@ -39,7 +39,7 @@ import scipy.linalg
 from .errors import NoPeakError, SingularMatrixError
 from .geometry import (ArrayGeometry, Direction, geometry_fingerprint,
                        steering_matrix)
-from .signalmodel import PointSource, Scene, covariance_analytic
+from .signalmodel import PointSource, covariance_analytic
 
 BEAMFORMERS = ("bartlett", "mvdr")
 DB_FLOOR = -80.0  # export floor for dB maps
@@ -214,9 +214,8 @@ def psf(geometry: ArrayGeometry, source: Direction, source_power: float,
     """Single-point-source response map plus its lobe metrics."""
     if not source_power > 0:
         raise ValueError("source_power must be > 0")
-    scene = Scene(desired=PointSource(source, source_power), interferers=(),
-                  noise_power=noise_power)
-    R = covariance_analytic(geometry, scene, frequency_hz, c_mps)
+    R = covariance_analytic(geometry, [PointSource(source, source_power)], noise_power,
+                            frequency_hz, c_mps)
     pmap = power_map(geometry, R, grid, frequency_hz, c_mps,
                      beamformer=beamformer, loading=loading)
     return pmap, psf_metrics(pmap)

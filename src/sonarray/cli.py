@@ -27,7 +27,7 @@ from .errors import ConfigError, SonarrayError
 from .geometry import (DEFAULT_DIAMETER_M, DEFAULT_ELEMENT_COUNT,
                        SPEED_OF_SOUND_MPS, Direction,
                        build_uniform_circular_array, load_geometry_csv)
-from .signalmodel import PointSource, Scene, covariance_analytic
+from .signalmodel import PointSource, covariance_analytic
 from .waveform import ChirpSpec, generate_chirp
 
 # The stock sensor, stated once: the library takes every value as an argument.
@@ -199,7 +199,7 @@ def parse_key_values(lines, source: str):
         yield tuple(part.strip() for part in line.split("=", 1))
 
 
-def build_config(args, extra_overrides) -> Config:
+def build_config(args) -> Config:
     values = {}
     if args.config:
         try:
@@ -207,13 +207,11 @@ def build_config(args, extra_overrides) -> Config:
                 values.update(parse_key_values(fh, args.config))
         except OSError as exc:
             raise ConfigError("config", str(exc)) from None
-    for item in list(args.set or []) + list(extra_overrides):
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError("--set", f"expected key=value, got {item!r}")
         key, value = item.split("=", 1)
         values[key.strip()] = value.strip()
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
     return Config(values)
 
 
@@ -310,19 +308,28 @@ def _save_map(pmap: beamforming.PowerMap, out: Path, stem: str, metadata: dict) 
     beamforming.save_power_map_pgm(pmap, out / f"{stem}.pgm", metadata=metadata)
 
 
-def cmd_psf(args, extra) -> int:
-    run = _analytic(build_config(args, extra))
+def cmd_psf(args) -> int:
+    run = _analytic(build_config(args))
     if not run.sources:
         print("psf: no sources requested; nothing to do", file=sys.stderr)
         return 0
-    maps = [(source, bf, *beamforming.psf(
+    stems = {}  # file stem -> its source; a direction names the files
+    for source in run.sources:
+        az, el = source.direction.azimuth_deg, source.direction.elevation_deg
+        stem = f"psf_az{az:g}_el{el:g}"
+        if stem in stems:
+            items = [f"{s.direction.azimuth_deg!r},{s.direction.elevation_deg!r},{s.power!r}"
+                     for s in (stems[stem], source)]
+            raise ConfigError("psf.sources", f"items {items[0]} and {items[1]} both "
+                                             f"write {stem}_*")
+        stems[stem] = source
+    maps = [(f"{stem}_{bf}", source, bf, *beamforming.psf(
                 run.geometry, source.direction, source.power, run.noise_power, run.grid,
                 run.frequency_hz, run.c_mps, beamformer=bf, loading=run.loading))
-            for source in run.sources for bf in run.beamformers]
+            for stem, source in stems.items() for bf in run.beamformers]
     out = _out_dir(args)
-    for source, bf, pmap, metrics in maps:
+    for stem, source, bf, pmap, metrics in maps:
         az, el = source.direction.azimuth_deg, source.direction.elevation_deg
-        stem = f"psf_az{az:g}_el{el:g}_{bf}"
         _save_map(pmap, out, stem, {
             "beamformer": bf, "source_azimuth_deg": f"{az:g}",
             "source_elevation_deg": f"{el:g}", "frequency_hz": f"{run.frequency_hz:g}"})
@@ -331,13 +338,12 @@ def cmd_psf(args, extra) -> int:
     return 0
 
 
-def cmd_scan(args, extra) -> int:
-    run = _analytic(build_config(args, extra))
+def cmd_scan(args) -> int:
+    run = _analytic(build_config(args))
     if not run.sources:
         print("scan: no sources requested; nothing to do", file=sys.stderr)
         return 0
-    desired, *interferers = run.sources
-    R = covariance_analytic(run.geometry, Scene(desired, interferers, run.noise_power),
+    R = covariance_analytic(run.geometry, run.sources, run.noise_power,
                             run.frequency_hz, run.c_mps)
     maps = [(bf, beamforming.power_map(run.geometry, R, run.grid, run.frequency_hz,
                                        run.c_mps, beamformer=bf, loading=run.loading))
@@ -356,8 +362,8 @@ def cmd_scan(args, extra) -> int:
     return 0
 
 
-def cmd_chirp(args, extra) -> int:
-    cfg = build_config(args, extra)
+def cmd_chirp(args) -> int:
+    cfg = build_config(args)
     trace = generate_chirp(cfg.chirp_spec(), cfg.chirp_window())
     out = _out_dir(args)
     waveform.save_pcm(trace, out / "chirp.pcm")
@@ -366,8 +372,8 @@ def cmd_chirp(args, extra) -> int:
     return 0
 
 
-def cmd_simulate(args, extra) -> int:
-    cfg = build_config(args, extra)
+def cmd_simulate(args) -> int:
+    cfg = build_config(args)
     sensor = cfg.sensor()
     target = cfg.target()
     duration = cfg.get_float("simulate.duration_s", minimum=0)
@@ -423,8 +429,8 @@ def _localize_ping(sensor: pipeline.Sensor, ping: int, frames: list) -> tuple:
     return head + (math.nan,) * 7
 
 
-def cmd_localize(args, extra) -> int:
-    cfg = build_config(args, extra)
+def cmd_localize(args) -> int:
+    cfg = build_config(args)
     sensor = cfg.sensor()
     reader = _FrameReader(args.input)
     rows = []
@@ -446,8 +452,8 @@ def cmd_localize(args, extra) -> int:
     return 0
 
 
-def cmd_decode(args, extra) -> int:
-    cfg = build_config(args, extra)
+def cmd_decode(args) -> int:
+    cfg = build_config(args)
     rate, factor = cfg._pdm()
     decimate = cfg.get_bool("decode.decimate")
     reader = _FrameReader(args.input)
@@ -475,7 +481,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key-value config file")
     common.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -493,15 +498,7 @@ def main(argv=None) -> int:
                             help="decode a frame stream into per-channel PDM")
     decode.add_argument("input", help="frame stream file, or - for stdin")
 
-    args, unknown = parser.parse_known_args(argv)
-    extra = []
-    for item in unknown:
-        if item.startswith("--") and "=" in item:
-            extra.append(item[2:])
-        else:
-            print(f"unrecognized argument: {item}", file=sys.stderr)
-            return 2
-
+    args = parser.parse_args(argv)
     handlers = {
         "psf": cmd_psf,
         "scan": cmd_scan,
@@ -511,7 +508,7 @@ def main(argv=None) -> int:
         "decode": cmd_decode,
     }
     try:
-        return handlers[args.command](args, extra)
+        return handlers[args.command](args)
     except ConfigError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

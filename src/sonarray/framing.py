@@ -183,17 +183,11 @@ class StreamParser:
         self._last_sequence = sequence
 
 
-def parse_stream(data) -> tuple:
-    """Parse a complete byte string or an iterable of chunks.
+def parse_stream(data: bytes) -> tuple:
+    """Parse a complete byte string.
 
     Returns (events, stats) where events interleaves Frames and
     CorruptionEvents in arrival order.
     """
     parser = StreamParser()
-    events = []
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        events.extend(parser.feed(bytes(data)))
-    else:
-        for chunk in data:
-            events.extend(parser.feed(chunk))
-    return events, parser.stats
+    return parser.feed(data), parser.stats

@@ -6,9 +6,9 @@ Conventions used throughout the package:
   [-90, 90] (front hemisphere).  The look unit vector is
   ``u = (cos(el)*sin(az), sin(el), cos(el)*cos(az))``, so boresight
   (0, 0) is the array normal +z.
-* Steering phases are ``+j * 2*pi*f * (p . u) / c`` relative to the
-  reference point (phase advance toward the source).  Capture emulation
-  shares the same sign.
+* Element positions p are relative to the emitter at the origin.
+  Steering phases are ``+j * 2*pi*f * (p . u) / c`` (phase advance toward
+  the source).  Capture emulation shares the same sign.
 """
 
 from __future__ import annotations
@@ -42,23 +42,17 @@ class Direction:
 
 @dataclass(frozen=True, eq=False)
 class ArrayGeometry:
-    """Element positions in meters plus the emitter reference point."""
+    """Element positions in meters, relative to the emitter at the origin."""
 
     elements: np.ndarray       # (L, 3)
-    reference_point: np.ndarray  # (3,)
 
     def __post_init__(self):
         elements = np.array(self.elements, dtype=float)
-        reference = np.array(self.reference_point, dtype=float)
         if elements.ndim != 2 or elements.shape[1] != 3 or elements.shape[0] < 1:
             raise ValueError("elements must be an (L, 3) array with L >= 1")
-        if reference.shape != (3,):
-            raise ValueError("reference_point must be a 3-vector")
         for i, position in enumerate(elements):
             if not np.isfinite(position).all():
                 raise ValueError(f"element {i} position must be finite, got {position.tolist()}")
-        if not np.isfinite(reference).all():
-            raise ValueError(f"reference_point must be finite, got {reference.tolist()}")
         if elements.shape[0] > 1:
             deltas = elements[:, None, :] - elements[None, :, :]
             dist = np.linalg.norm(deltas, axis=-1)
@@ -66,9 +60,7 @@ class ArrayGeometry:
             if dist.min() <= 1e-6:
                 raise ValueError("element positions must be pairwise distinct (> 1e-6 m)")
         elements.flags.writeable = False
-        reference.flags.writeable = False
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "reference_point", reference)
 
     @property
     def n_elements(self) -> int:
@@ -78,8 +70,8 @@ class ArrayGeometry:
 def build_uniform_circular_array(n_elements: int, diameter_m: float) -> ArrayGeometry:
     """Place ``n_elements`` uniformly on a circle in the z = 0 plane.
 
-    Element 0 sits on the +x axis; element l at angle 2*pi*l/n.  The
-    reference point (emitter) is the origin.
+    Element 0 sits on the +x axis; element l at angle 2*pi*l/n, around
+    the emitter at the origin.
     """
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
@@ -90,7 +82,7 @@ def build_uniform_circular_array(n_elements: int, diameter_m: float) -> ArrayGeo
     elements = np.column_stack((radius * np.cos(angles),
                                 radius * np.sin(angles),
                                 np.zeros(n_elements)))
-    return ArrayGeometry(elements=elements, reference_point=np.zeros(3))
+    return ArrayGeometry(elements=elements)
 
 
 def default_circular_array() -> ArrayGeometry:
@@ -126,8 +118,7 @@ def steering_matrix(geometry: ArrayGeometry, azimuth_deg, elevation_deg,
     if not c_mps > 0:
         raise ValueError("c_mps must be > 0")
     u = unit_vectors(azimuth_deg, elevation_deg).reshape(-1, 3)
-    p = geometry.elements - geometry.reference_point
-    phase = (2.0 * np.pi * frequency_hz / c_mps) * (p @ u.T)
+    phase = (2.0 * np.pi * frequency_hz / c_mps) * (geometry.elements @ u.T)
     return np.exp(1j * phase)
 
 
@@ -136,7 +127,7 @@ def load_geometry_csv(path) -> ArrayGeometry:
 
     The header row is required.  The index column must hold 0..L-1, each
     once, for L rows; element i is the row with index i.  Row errors name
-    ``path:line``.  The reference point is the origin.
+    ``path:line``.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -169,12 +160,10 @@ def load_geometry_csv(path) -> ArrayGeometry:
             raise ValueError(f"{path}:{line}: index {index} outside 0..{len(rows) - 1} "
                              f"for {len(rows)} rows")
     elements = np.array([rows[i][1] for i in range(len(rows))])
-    return ArrayGeometry(elements=elements, reference_point=np.zeros(3))
+    return ArrayGeometry(elements=elements)
 
 
 def geometry_fingerprint(geometry: ArrayGeometry) -> str:
-    """Stable SHA-256 over the element layout and reference point."""
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(geometry.elements, dtype="<f8").tobytes())
-    digest.update(np.ascontiguousarray(geometry.reference_point, dtype="<f8").tobytes())
-    return digest.hexdigest()
+    """Stable SHA-256 over the element layout."""
+    layout = np.ascontiguousarray(geometry.elements, dtype="<f8").tobytes()
+    return hashlib.sha256(layout).hexdigest()

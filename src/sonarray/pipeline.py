@@ -170,6 +170,6 @@ def localize_window(sensor: Sensor, streams: list) -> tuple:
     if not peaks:
         raise NoPeakError("power map has no DOA peak")
     direction = peaks[0][0]
-    p0 = sensor.geometry.elements[0] - sensor.geometry.reference_point
+    p0 = sensor.geometry.elements[0]
     range_m = estimate.range_m + float(p0 @ direction_unit_vector(direction)) / 2.0
     return replace(estimate, range_m=range_m), direction

@@ -18,8 +18,7 @@ from sonarray.beamforming import doa_peaks, grid_powers, power_map, psf
 from sonarray.framing import (CorruptionEvent, Frame, StreamParser,
                               encode_frame, parse_stream)
 from sonarray.geometry import Direction, steering_matrix
-from sonarray.signalmodel import (PointSource, Scene, covariance_analytic,
-                                  sample_covariance)
+from sonarray.signalmodel import PointSource, covariance_analytic, sample_covariance
 from sonarray.waveform import PcmTrace, estimate_range, matched_filter
 
 PLACEMENTS = [(0.0, 0.0), (30.0, 0.0), (-45.0, -15.0)]
@@ -44,8 +43,8 @@ def placement_scans(stock):
     start = time.perf_counter()
     for az, el in PLACEMENTS:
         source = Direction(az, el)
-        scene = Scene(desired=PointSource(source, 1.0), noise_power=0.01)
-        R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
+        R = covariance_analytic(s.geometry, [PointSource(source, 1.0)], 0.01,
+                                s.frequency_hz, s.c_mps)
         maps = {}
         metrics = {}
         for bf in ("bartlett", "mvdr"):
@@ -81,8 +80,8 @@ def test_criterion_2_mvdr_closed_form(stock):
         expected = sd2 + sv2 / s.geometry.n_elements
         assert expected == 1.00625
         look = Direction(0.0, 0.0)
-        scene = Scene(desired=PointSource(look, sd2), noise_power=sv2)
-        R = covariance_analytic(s.geometry, scene, s.frequency_hz, s.c_mps)
+        R = covariance_analytic(s.geometry, [PointSource(look, sd2)], sv2,
+                                s.frequency_hz, s.c_mps)
         d = steering_matrix(s.geometry, look.azimuth_deg, look.elevation_deg,
                             s.frequency_hz, s.c_mps)
         x = np.linalg.solve(R, d[:, 0])

@@ -15,11 +15,9 @@ from sonarray.beamforming import (PowerMap, _ascii_fields, _f4_words,
 from sonarray.errors import NoPeakError, SingularMatrixError
 from sonarray.geometry import (Direction, build_uniform_circular_array,
                                steering_matrix)
-from sonarray.signalmodel import PointSource, Scene, covariance_analytic
+from sonarray.signalmodel import PointSource, covariance_analytic
 
 
-def single_source_scene(direction, sd2=1.0, sv2=0.1):
-    return Scene(desired=PointSource(direction, sd2), noise_power=sv2)
 
 
 def look_vector(sensor, direction):
@@ -29,9 +27,15 @@ def look_vector(sensor, direction):
                            sensor.frequency_hz, sensor.c_mps)[:, 0]
 
 
-def covariance(sensor, scene):
-    """The scene's analytic covariance at the sensor's array and carrier."""
-    return covariance_analytic(sensor.geometry, scene, sensor.frequency_hz, sensor.c_mps)
+def covariance(sensor, sources, noise_power):
+    """The analytic covariance of ``sources`` in white noise at the sensor's
+    array and carrier."""
+    return covariance_analytic(sensor.geometry, sources, noise_power, sensor.frequency_hz,
+                               sensor.c_mps)
+
+
+def single_source_covariance(sensor, direction, sd2=1.0, sv2=0.1):
+    return covariance(sensor, [PointSource(direction, sd2)], sv2)
 
 
 def look_power(R, d, kind, loading=0.0):
@@ -52,7 +56,7 @@ class TestBartlett:
         s = stock.sensor
         look = Direction(0, 0)
         sv = look_vector(s, look)
-        R = covariance(s, single_source_scene(look, 1.0, 0.0))
+        R = single_source_covariance(s, look, 1.0, 0.0)
         assert abs(look_power(R, sv, "bartlett") - 1.0) < 1e-12
 
     def test_white_noise_floor(self, stock):
@@ -67,7 +71,7 @@ class TestBartlett:
         L = s.geometry.n_elements
         look = Direction(0, 0)
         sv = look_vector(s, look)
-        R = covariance(s, single_source_scene(look))
+        R = single_source_covariance(s, look)
         assert abs(look_power(R, sv, "bartlett") - (1.0 + 0.1 / L)) < 1e-12
 
     def test_dimension_mismatch(self, stock):
@@ -84,7 +88,7 @@ class TestMvdr:
         L = s.geometry.n_elements
         look = Direction(0, 0)
         sv = look_vector(s, look)
-        R = covariance(s, single_source_scene(look))
+        R = single_source_covariance(s, look)
         expected = 1.0 + 0.1 / L  # rho = 1 in the inversion-lemma oracle
         assert abs(mvdr_closed_form(1.0, 1.0, 0.1, L) - expected) < 1e-15
         assert abs(look_power(R, sv, "mvdr") - expected) <= 1e-9 * expected
@@ -100,7 +104,7 @@ class TestMvdr:
         s = stock.sensor
         look = Direction(0, 0)
         sv = look_vector(s, look)
-        R = covariance(s, single_source_scene(look, 1.0, 0.0))
+        R = single_source_covariance(s, look, 1.0, 0.0)
         with pytest.raises(SingularMatrixError):
             look_power(R, sv, "mvdr", loading=0.0)
         assert look_power(R, sv, "mvdr", loading=1e-3) > 0
@@ -118,7 +122,7 @@ class TestMvdr:
         L = s.geometry.n_elements
         source = Direction(20, 0)
         d_s = look_vector(s, source)
-        R = covariance(s, single_source_scene(source, 1.0, 0.1))
+        R = single_source_covariance(s, source, 1.0, 0.1)
         for az, el in [(20, 0), (0, 0), (-45, -15), (60, 25), (25, 0)]:
             sv = look_vector(s, Direction(az, el))
             rho = abs(np.vdot(sv, d_s)) ** 2 / L ** 2
@@ -128,7 +132,7 @@ class TestMvdr:
     def test_mvdr_never_exceeds_bartlett(self, stock):
         s = stock.sensor
         source = Direction(-10, 5)
-        R = covariance(s, single_source_scene(source, 2.0, 0.05))
+        R = single_source_covariance(s, source, 2.0, 0.05)
         for az, el in [(-10, 5), (0, 0), (44, -3), (-80, 60)]:
             sv = look_vector(s, Direction(az, el))
             assert look_power(R, sv, "mvdr") <= look_power(R, sv, "bartlett") + 1e-12
@@ -137,7 +141,7 @@ class TestMvdr:
         s = stock.sensor
         source = Direction(15, -20)
         sv = look_vector(s, Direction(10, 0))
-        R = covariance(s, single_source_scene(source))
+        R = single_source_covariance(s, source)
         alpha = 3.7
         for kind in ("bartlett", "mvdr"):
             assert np.isclose(look_power(alpha * R, sv, kind),
@@ -149,13 +153,10 @@ class TestMvdr:
         s = stock.sensor
         desired = Direction(0, 0)
         jammer = Direction(30, 0)
-        quiet = Scene(desired=PointSource(desired, 1.0), noise_power=0.01)
-        jammed = Scene(desired=PointSource(desired, 1.0),
-                       interferers=(PointSource(jammer, 1.0),),
-                       noise_power=0.01)  # interferer power = 100 * noise
         sv_d = look_vector(s, desired)
-        R_quiet = covariance(s, quiet)
-        R_jammed = covariance(s, jammed)
+        R_quiet = covariance(s, [PointSource(desired, 1.0)], 0.01)
+        # interferer power = 100 * noise
+        R_jammed = covariance(s, [PointSource(desired, 1.0), PointSource(jammer, 1.0)], 0.01)
         leak = {kind: look_power(R_jammed, sv_d, kind) - look_power(R_quiet, sv_d, kind)
                 for kind in ("bartlett", "mvdr")}
         assert leak["mvdr"] > 0
@@ -177,8 +178,7 @@ class TestPowerMap:
     @pytest.mark.parametrize("bf", ["bartlett", "mvdr"])
     def test_argmax_at_source(self, stock, source, bf):
         s = stock.sensor
-        scene = single_source_scene(Direction(*source), 1.0, 0.01)
-        R = covariance(s, scene)
+        R = single_source_covariance(s, Direction(*source), 1.0, 0.01)
         pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer=bf)
         i, j = np.unravel_index(np.argmax(pmap.power), pmap.power.shape)
         assert abs(pmap.azimuth_deg[j] - source[0]) <= 1.0
@@ -186,7 +186,7 @@ class TestPowerMap:
 
     def test_scan_is_deterministic(self, stock):
         s = stock.sensor
-        R = covariance(s, single_source_scene(Direction(5, 5)))
+        R = single_source_covariance(s, Direction(5, 5))
         grid = dataclasses.replace(s.grid, az_step_deg=3.0, el_step_deg=3.0)
         a = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
         b = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
@@ -260,7 +260,7 @@ class TestPowerMap:
         az, el = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0).axes()
         AZ, EL = np.meshgrid(az, el)
         D = steering_matrix(s.geometry, AZ.ravel(), EL.ravel(), s.frequency_hz, s.c_mps)
-        R = covariance(s, single_source_scene(Direction(20, -10)))
+        R = single_source_covariance(s, Direction(20, -10))
         for layout in (D[:, ::3], np.asfortranarray(D)):
             assert not layout.flags.c_contiguous
             for bf, loading in (("bartlett", 0.0), ("mvdr", 0.0), ("mvdr", 1e-3)):
@@ -408,7 +408,7 @@ class TestDoaPeaks:
         # each el = +-90 row is one direction; its cells differ by rounding,
         # so the strict 8-neighbour rule alone would miss a pole source
         s = stock.sensor
-        R = covariance(s, single_source_scene(Direction(0, el), 1.0, 0.01))
+        R = single_source_covariance(s, Direction(0, el), 1.0, 0.01)
         pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer=bf)
         (top, power), = doa_peaks(pmap)
         assert top.elevation_deg == math.copysign(90.0, el)
@@ -417,7 +417,7 @@ class TestDoaPeaks:
 
     def test_single_source_yields_one_dominant_peak(self, stock):
         s = stock.sensor
-        R = covariance(s, single_source_scene(Direction(10, -5), 1.0, 0.01))
+        R = single_source_covariance(s, Direction(10, -5), 1.0, 0.01)
         pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
         peaks = doa_peaks(pmap, max_peaks=3, min_separation_deg=10.0)
         assert peaks
@@ -427,10 +427,8 @@ class TestDoaPeaks:
 
     def test_two_sources_resolved(self, stock):
         s = stock.sensor
-        scene = Scene(desired=PointSource(Direction(-30, 0), 1.0),
-                      interferers=(PointSource(Direction(30, 0), 1.0),),
-                      noise_power=0.01)
-        R = covariance(s, scene)
+        R = covariance(s, [PointSource(Direction(-30, 0), 1.0),
+                           PointSource(Direction(30, 0), 1.0)], 0.01)
         pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
         peaks = doa_peaks(pmap, max_peaks=2, min_separation_deg=10.0)
         assert len(peaks) == 2
@@ -488,7 +486,7 @@ class TestExports:
 
     def test_csv_and_pgm(self, stock, tmp_path):
         s = stock.sensor
-        R = covariance(s, single_source_scene(Direction(0, 0)))
+        R = single_source_covariance(s, Direction(0, 0))
         grid = dataclasses.replace(s.grid, az_start_deg=-10, az_stop_deg=10,
                                    el_start_deg=-10, el_stop_deg=10)
         pmap = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer="bartlett")
@@ -507,7 +505,7 @@ class TestExports:
 
     def test_exports_over_a_longer_file_hold_only_the_new_bytes(self, stock, tmp_path):
         s = stock.sensor
-        R = covariance(s, single_source_scene(Direction(0, 0)))
+        R = single_source_covariance(s, Direction(0, 0))
         big, small = (power_map(s.geometry, R,
                                 dataclasses.replace(s.grid, az_start_deg=-span, az_stop_deg=span,
                                                     el_start_deg=-span, el_stop_deg=span),
@@ -524,7 +522,7 @@ class TestExports:
 
     def test_db_floor(self, stock):
         s = stock.sensor
-        R = covariance(s, single_source_scene(Direction(0, 0), 1.0, 1e-12))
+        R = single_source_covariance(s, Direction(0, 0), 1.0, 1e-12)
         grid = dataclasses.replace(s.grid, az_step_deg=10, el_step_deg=10)
         pmap = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps,
                          beamformer="mvdr", loading=1e-6)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import struct
 import sys
@@ -10,7 +11,7 @@ from sonarray.beamforming import GridSpec, power_map, psf, save_power_map_csv
 from sonarray.cli import DEFAULTS, Config, main
 from sonarray.framing import Frame, encode_frame, parse_stream
 from sonarray.geometry import Direction, default_circular_array, geometry_fingerprint
-from sonarray.signalmodel import PointSource, Scene, covariance_analytic
+from sonarray.signalmodel import PointSource, covariance_analytic
 from sonarray.waveform import ChirpSpec
 
 
@@ -102,24 +103,47 @@ class TestPsfCommand:
                 assert float(metrics["peak_azimuth_deg"]) == src_az
                 assert float(metrics["peak_elevation_deg"]) == src_el
 
-    def test_dotted_flag_override(self, tmp_path):
-        rc = run(["psf", "--out", str(tmp_path), "--psf.sources=0,0",
-                  "--grid.az_step=5", "--grid.el_step=5",
-                  "--psf.beamformers=mvdr"])
+    def test_set_override(self, tmp_path):
+        rc = run(["psf", "--out", str(tmp_path), "--set", "psf.sources=0,0",
+                  "--set", "grid.az_step=5", "--set", "grid.el_step=5",
+                  "--set", "psf.beamformers=mvdr"])
         assert rc == 0
         assert len(list(tmp_path.glob("*.csv"))) == 1
+
+    @pytest.mark.parametrize("flags", [["--psf.sources=0,0"], ["--seed", "3"]])
+    def test_keys_are_set_only_by_set_or_config(self, tmp_path, flags):
+        # --set key=value is the one override spelling; argparse refuses
+        # any other flag before a handler runs
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["psf", "--out", str(out), *flags])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sources,items", [
+        ("10,5;10,5,4", "items 10.0,5.0,1.0 and 10.0,5.0,4.0"),
+        ("10,5;10.0000001,5", "items 10.0,5.0,1.0 and 10.0000001,5.0,1.0"),
+    ])
+    def test_sources_that_name_the_same_files_exit_2_writing_nothing(
+            self, tmp_path, capsys, sources, items):
+        # files are named psf_az{az:g}_el{el:g}_<bf>, so these items would
+        # overwrite each other's maps
+        out = tmp_path / "out"
+        assert run(["psf", "--out", str(out), "--set", f"psf.sources={sources}"]) == 2
+        assert (capsys.readouterr().err
+                == f"psf: psf.sources: {items} both write psf_az10_el5_*\n")
+        assert not out.exists()
 
 
 def analytic_map_csv(path, sources, beamformer, *settings):
     """``power_map`` of ``covariance_analytic`` over (az, el, power)
-    sources, the first the scene's desired one, at a config of the default
-    keys plus ``settings``, written as CSV to ``path``; its bytes."""
+    sources at a config of the default keys plus ``settings``, written as
+    CSV to ``path``; its bytes."""
     cfg = Config(dict(item.split("=", 1) for item in settings))
     frequency, c = cfg.get_float("frequency_hz"), cfg.get_float("c_mps")
-    desired, *interferers = [PointSource(Direction(az, el), power) for az, el, power in sources]
-    R = covariance_analytic(cfg.geometry(), Scene(desired, interferers,
-                                                  cfg.get_float("psf.noise_power")),
-                            frequency, c)
+    R = covariance_analytic(cfg.geometry(),
+                            [PointSource(Direction(az, el), power) for az, el, power in sources],
+                            cfg.get_float("psf.noise_power"), frequency, c)
     save_power_map_csv(power_map(cfg.geometry(), R, cfg.grid(), frequency, c,
                                  beamformer=beamformer), path)
     return path.read_bytes()
@@ -338,6 +362,13 @@ class TestSimulateCommand:
             tmp_path, "simulate.duration_s=0.2", "chirp.f_start_hz=26000",
             "chirp.f_end_hz=34000", "simulate.azimuth_deg=30", "simulate.elevation_deg=10")
         assert [row.split(",")[7:] for row in rows] == [["30", "10"]] * 2
+
+    def test_seed_is_set_as_a_key(self, tmp_path):
+        # the stream --seed 3 wrote before --set seed=N became the one spelling
+        assert run(["simulate", "--out", str(tmp_path), "--set", "seed=3",
+                    "--set", "simulate.duration_s=0.1"]) == 0
+        assert hashlib.sha256((tmp_path / "stream.bin").read_bytes()).hexdigest() == (
+            "4e8a6fb44e1d04218471593df154f8f61656046fdcf928e935b3f4fea0eb6d69")
 
     def test_zero_duration_writes_header_only(self, tmp_path):
         assert simulate_and_localize(tmp_path, "simulate.duration_s=0") == []

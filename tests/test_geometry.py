@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -34,7 +35,6 @@ class TestCircularArray:
         assert np.allclose(radii, 0.015, atol=1e-15)
         assert np.allclose(g.elements[:, 2], 0.0)
         assert np.allclose(g.elements[0], [0.015, 0.0, 0.0])
-        assert np.allclose(g.reference_point, 0.0)
 
     def test_single_element(self):
         g = build_uniform_circular_array(1, 0.030)
@@ -54,15 +54,13 @@ class TestCircularArray:
     def test_coincident_elements_rejected(self):
         pts = np.array([[0.01, 0, 0], [0.01, 0, 0]])
         with pytest.raises(ValueError):
-            ArrayGeometry(elements=pts, reference_point=np.zeros(3))
+            ArrayGeometry(elements=pts)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_positions_rejected(self, bad):
         pts = np.array([[0.01, 0, 0], [0, bad, 0]])
         with pytest.raises(ValueError, match="element 1 position must be finite"):
-            ArrayGeometry(elements=pts, reference_point=np.zeros(3))
-        with pytest.raises(ValueError, match="reference_point must be finite"):
-            ArrayGeometry(elements=pts[:1], reference_point=[0, 0, bad])
+            ArrayGeometry(elements=pts)
 
     def test_default_preset(self):
         g = default_circular_array()
@@ -181,6 +179,13 @@ class TestGeometryCsv:
                        for i, (x, y, z) in enumerate(stock.elements.tolist()))
         path.write_text("x_m,y_m,z_m,index\n" + rows)
         assert geometry_fingerprint(load_geometry_csv(path)) == geometry_fingerprint(stock)
+
+    def test_fingerprint_hashes_the_elements_only(self):
+        # the emitter is the origin, so the layout is the whole geometry
+        stock = default_circular_array()
+        digest = hashlib.sha256(stock.elements.astype("<f8").tobytes()).hexdigest()
+        assert geometry_fingerprint(stock) == digest == (
+            "49f1302b556d0bca0c1a0bea19a9c248c02270b348a675d7dff3c6e2d5916542")
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

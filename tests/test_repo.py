@@ -55,8 +55,7 @@ def definitions_and_references():
     A definition maps a name a top-level statement of a package module
     defines (a def or class, or an assignment target) to the statement and
     its path.  A reference is a Name or Attribute node outside the
-    statements that define that name; sonarray/__init__.py re-exports are
-    import aliases and strings, so they do not count.
+    statements that define that name.
     """
     sources = sorted((ROOT / "src" / "sonarray").rglob("*.py"))
     bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
@@ -143,12 +142,12 @@ def test_every_key_read_or_named_is_a_config_key():
 
 def test_only_the_cli_names_config_keys():
     # ConfigError, the error that names a config key, is referenced only by
-    # the CLI and where it is defined and exported, so the library knows
-    # nothing of config keys or files
+    # the CLI and where it is defined, so the library knows nothing of
+    # config keys or files
     package = ROOT / "src" / "sonarray"
     users = sorted(path.relative_to(package).as_posix() for path in package.rglob("*.py")
                    if path.relative_to(package).as_posix()
-                   not in ("cli.py", "errors.py", "__init__.py") and any(
+                   not in ("cli.py", "errors.py") and any(
                        getattr(node, "id", getattr(node, "attr", None)) == "ConfigError"
                        or (isinstance(node, ast.alias) and node.name == "ConfigError")
                        for node in ast.walk(ast.parse(path.read_text(), str(path)))))
@@ -168,8 +167,6 @@ def test_every_top_level_import_is_used():
 
     unused = []
     for path in sorted((ROOT / "src" / "sonarray").rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), str(path))
         imported = [alias.asname or alias.name
                     for statement in tree.body
@@ -181,3 +178,15 @@ def test_every_top_level_import_is_used():
         unused += [f"{path.relative_to(ROOT)}: {name}" for name in imported
                    if name not in referenced]
     assert unused == []
+
+
+def test_package_top_level_binds_only_the_version():
+    # modules import from the module that defines a name (sonarray.cli,
+    # sonarray.geometry, ...), so sonarray/__init__.py re-exports nothing:
+    # past its docstring it holds the __version__ assignment alone
+    tree = ast.parse((ROOT / "src" / "sonarray" / "__init__.py").read_text())
+    docstring, *statements = tree.body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert [ast.dump(statement.targets[0]) if isinstance(statement, ast.Assign)
+            else ast.dump(statement) for statement in statements] == [
+        ast.dump(ast.Name("__version__", ast.Store()))]
