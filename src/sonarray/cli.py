@@ -24,9 +24,8 @@ from types import SimpleNamespace
 from . import (__version__, acquisition, beamforming, framing, pipeline,
                waveform)
 from .errors import ConfigError, SonarrayError
-from .geometry import (DEFAULT_DIAMETER_M, DEFAULT_ELEMENT_COUNT,
-                       SPEED_OF_SOUND_MPS, Direction,
-                       build_uniform_circular_array, load_geometry_csv)
+from .geometry import (SPEED_OF_SOUND_MPS, Direction, default_circular_array,
+                       load_geometry_csv)
 from .signalmodel import PointSource, covariance_analytic
 from .waveform import ChirpSpec, generate_chirp
 
@@ -36,8 +35,6 @@ DEFAULTS = {
     "frequency_hz": "40000",
     "seed": "0",
     "geometry.csv": "",
-    "geometry.elements": str(DEFAULT_ELEMENT_COUNT),
-    "geometry.diameter_m": f"{DEFAULT_DIAMETER_M:g}",
     "grid.az_start": "-90",
     "grid.az_stop": "90",
     "grid.az_step": "1",
@@ -112,14 +109,12 @@ class Config:
 
     def geometry(self):
         csv_path = self.get("geometry.csv")
-        if csv_path:
-            try:
-                return load_geometry_csv(csv_path)
-            except (OSError, ValueError) as exc:
-                raise ConfigError("geometry.csv", str(exc)) from None
-        return build_uniform_circular_array(
-            self.get_int("geometry.elements", minimum=1),
-            self.get_float("geometry.diameter_m", positive=True))
+        if not csv_path:
+            return default_circular_array()
+        try:
+            return load_geometry_csv(csv_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("geometry.csv", str(exc)) from None
 
     def grid(self) -> beamforming.GridSpec:
         try:
@@ -145,11 +140,11 @@ class Config:
         rate, factor = self._pdm()
         try:
             return ChirpSpec(
-                f_start_hz=self.get_float("chirp.f_start_hz", positive=True),
-                f_end_hz=self.get_float("chirp.f_end_hz", positive=True),
-                duration_s=self.get_float("chirp.duration_s", positive=True),
+                f_start_hz=self.get_float("chirp.f_start_hz"),
+                f_end_hz=self.get_float("chirp.f_end_hz"),
+                duration_s=self.get_float("chirp.duration_s"),
                 sample_rate_hz=rate / factor)
-        except ValueError as exc:  # a sweep edge at or above fs/2, or under one sample
+        except ValueError as exc:  # an edge outside (0, fs/2), or not a finite sample count >= 1
             raise ConfigError.from_field("chirp.", exc) from None
 
     def target(self) -> acquisition.ReflectorTarget:
@@ -238,10 +233,11 @@ def _parse_sources(text: str, default_power: float) -> list:
     return sources
 
 
-def _analytic(cfg: Config) -> SimpleNamespace:
-    """What the analytic maps of ``psf`` and ``scan`` read: the array, grid,
-    frequency and speed of sound, the sources, the noise power, and the
-    beamformers with their loading."""
+def _analytic(args) -> SimpleNamespace | None:
+    """What the analytic maps of ``psf`` and ``scan`` read (array, grid, frequency,
+    speed of sound, sources, noise power, beamformers, loading), or None, with a
+    note on stderr, when the config asks for no source or no beamformer."""
+    cfg = build_config(args)
     geometry = cfg.geometry()
     grid = cfg.grid()
     sources = _parse_sources(cfg.get("psf.sources"),
@@ -250,12 +246,17 @@ def _analytic(cfg: Config) -> SimpleNamespace:
     for bf in beamformers:
         if bf not in beamforming.BEAMFORMERS:
             raise ConfigError("psf.beamformers", f"unknown beamformer {bf!r}")
-    return SimpleNamespace(
+    run = SimpleNamespace(
         geometry=geometry, grid=grid, sources=sources, beamformers=beamformers,
         frequency_hz=cfg.get_float("frequency_hz", positive=True),
         c_mps=cfg.get_float("c_mps", positive=True),
         noise_power=cfg.get_float("psf.noise_power", minimum=0),
         loading=cfg.get_float("beamformer.loading", minimum=0))
+    for what, items in (("sources", sources), ("beamformers", beamformers)):
+        if not items:
+            print(f"{args.command}: no {what} requested; nothing to do", file=sys.stderr)
+            return None
+    return run
 
 
 def _out_dir(args) -> Path:
@@ -265,23 +266,23 @@ def _out_dir(args) -> Path:
 
 
 class _FrameReader:
-    """Frames of a stream file, or of stdin for "-", parsed from
-    CHUNK_BYTES reads, with the parser's counters and corruption kinds."""
+    """Frames of a stream file, or of stdin for "-", parsed from CHUNK_BYTES
+    reads, with the parser's counters and corruption kinds; the input opens
+    here, so an unreadable one exits 2 before any output exists."""
 
     def __init__(self, path: str):
-        self.path = path
+        if path == "-":
+            self.source = contextlib.nullcontext(sys.stdin.buffer)
+        else:
+            try:
+                self.source = open(path, "rb")
+            except OSError as exc:
+                raise ConfigError("input", f"cannot read: {exc}") from None
         self.parser = framing.StreamParser()
         self.corruption = collections.Counter()
 
     def __iter__(self):
-        if self.path == "-":
-            source = contextlib.nullcontext(sys.stdin.buffer)
-        else:
-            try:
-                source = open(self.path, "rb")
-            except OSError as exc:
-                raise ConfigError("input", f"cannot read: {exc}") from None
-        with source as stream:
+        with self.source as stream:
             while chunk := stream.read(pipeline.CHUNK_BYTES):
                 for event in self.parser.feed(chunk):
                     if isinstance(event, framing.Frame):
@@ -309,9 +310,8 @@ def _save_map(pmap: beamforming.PowerMap, out: Path, stem: str, metadata: dict) 
 
 
 def cmd_psf(args) -> int:
-    run = _analytic(build_config(args))
-    if not run.sources:
-        print("psf: no sources requested; nothing to do", file=sys.stderr)
+    run = _analytic(args)
+    if run is None:
         return 0
     stems = {}  # file stem -> its source; a direction names the files
     for source in run.sources:
@@ -339,9 +339,8 @@ def cmd_psf(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    run = _analytic(build_config(args))
-    if not run.sources:
-        print("scan: no sources requested; nothing to do", file=sys.stderr)
+    run = _analytic(args)
+    if run is None:
         return 0
     R = covariance_analytic(run.geometry, run.sources, run.noise_power,
                             run.frequency_hz, run.c_mps)
@@ -407,13 +406,13 @@ def cmd_simulate(args) -> int:
 
 
 def _localize_ping(sensor: pipeline.Sensor, ping: int, frames: list) -> tuple:
-    """One ranges.csv row; NaN, with the cause on stderr, when the ping's
-    window is incomplete or gives no estimate."""
+    """One ranges.csv row, timed at the PDM tick its frames are stamped from;
+    NaN, with the cause on stderr, when the window is incomplete or gives no estimate."""
     streams = pipeline.channel_streams(frames, sensor.pdm_rate_hz)
     if streams and len(streams) != sensor.geometry.n_elements:
         raise SonarrayError(f"ping {ping} has {len(streams)} channels, "
                             f"the array {sensor.geometry.n_elements}")
-    head = (ping, ping / sensor.ping_hz)
+    head = (ping, ping * sensor.ping_ticks / sensor.pdm_rate_hz)
     if len(frames) != pipeline.FRAMES_PER_WINDOW:
         cause = f"{len(frames)} of {pipeline.FRAMES_PER_WINDOW} frames"
     else:
@@ -433,22 +432,23 @@ def cmd_localize(args) -> int:
     cfg = build_config(args)
     sensor = cfg.sensor()
     reader = _FrameReader(args.input)
-    rows = []
-    for ping, frames in itertools.groupby(reader, key=lambda f: pipeline.ping_of(sensor, f)):
-        if rows and ping <= rows[-1][0]:
-            raise SonarrayError(f"a frame of ping {ping} follows ping {rows[-1][0]}")
-        for missing in range(rows[-1][0] + 1 if rows else ping, ping):
-            rows.append(_localize_ping(sensor, missing, []))
-        rows.append(_localize_ping(sensor, ping, list(frames)))
-    out = _out_dir(args)
-    with open(out / "ranges.csv", "w", newline="") as fh:
+    line = "{},{:.6f},{:.9f},{:.9f},{:.6f},{:.6g},{:.2f},{:.10g},{:.10g}\n".format
+    rows, last = 0, None
+    # a ping's rows are flushed once a later ping's frame, or the end, closes it
+    with open(_out_dir(args) / "ranges.csv", "w", newline="") as fh:
         fh.write("ping,emission_time_s,delay_s,delay_from_sweep_end_s,"
                  "range_m,peak_value,peak_to_noise_db,azimuth_deg,elevation_deg\n")
-        for row in rows:
-            fh.write(f"{row[0]},{row[1]:.6f},{row[2]:.9f},{row[3]:.9f},"
-                     f"{row[4]:.6f},{row[5]:.6g},{row[6]:.2f},{row[7]:.10g},{row[8]:.10g}\n")
+        for ping, frames in itertools.groupby(reader, key=lambda f: pipeline.ping_of(sensor, f)):
+            if last is not None and ping <= last:
+                raise SonarrayError(f"a frame of ping {ping} follows ping {last}")
+            start = ping if last is None else last + 1
+            for missing in range(start, ping):
+                fh.write(line(*_localize_ping(sensor, missing, [])))
+            fh.write(line(*_localize_ping(sensor, ping, list(frames))))
+            fh.flush()
+            rows, last = rows + ping + 1 - start, ping
     print(reader.summary())
-    print(f"localize: {len(rows)} ping(s) written to ranges.csv")
+    print(f"localize: {rows} ping(s) written to ranges.csv")
     return 0
 
 

@@ -13,7 +13,6 @@ class ConfigError(SonarrayError):
     """A run configuration key is missing, malformed, or out of range."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
         super().__init__(f"{field}: {message}")
 
     @classmethod

@@ -52,10 +52,13 @@ class TestPsfCommand:
         assert len(list(tmp_path.glob("psf_*_metrics.txt"))) == 6
         assert len(list(tmp_path.glob("psf_*.pgm"))) == 6
 
-    def test_empty_source_list_is_noop(self, tmp_path, capsys):
-        rc = run(["psf", "--out", str(tmp_path), "--set", "psf.sources="])
-        assert rc == 0
-        assert list(tmp_path.glob("*.csv")) == []
+    @pytest.mark.parametrize("setting, what", [("psf.sources=", "sources"),
+                                               ("psf.beamformers=", "beamformers")])
+    def test_empty_source_list_is_noop(self, tmp_path, capsys, setting, what):
+        out = tmp_path / "out"
+        assert run(["psf", "--out", str(out), "--set", setting]) == 0
+        assert capsys.readouterr().err == f"psf: no {what} requested; nothing to do\n"
+        assert not out.exists()
 
     def test_invalid_grid_step_names_field(self, tmp_path, capsys):
         rc = run(["psf", "--out", str(tmp_path), "--set", "grid.az_step=0"])
@@ -186,10 +189,22 @@ class TestScanCommand:
         assert f"{key}: unknown configuration key" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_source_list_is_noop(self, tmp_path, capsys):
+    @pytest.mark.parametrize("setting", ["geometry.elements=8", "geometry.diameter_m=0.02"])
+    def test_circle_keys_are_unknown(self, tmp_path, capsys, setting):
+        # the array is the stock ring or a geometry.csv file; there is no
+        # second way to state a ring
         out = tmp_path / "out"
-        assert run(["scan", "--out", str(out), "--set", "psf.sources="]) == 0
-        assert "nothing to do" in capsys.readouterr().err
+        assert run(["psf", "--out", str(out), "--set", setting]) == 2
+        key = setting.partition("=")[0]
+        assert capsys.readouterr().err == f"psf: {key}: unknown configuration key\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, what", [("psf.sources=", "sources"),
+                                               ("psf.beamformers= , ", "beamformers")])
+    def test_empty_source_list_is_noop(self, tmp_path, capsys, setting, what):
+        out = tmp_path / "out"
+        assert run(["scan", "--out", str(out), "--set", setting]) == 0
+        assert capsys.readouterr().err == f"scan: no {what} requested; nothing to do\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["psf", "scan"])
@@ -219,11 +234,6 @@ class TestScanCommand:
 
 
 class TestGeometryKeys:
-    def test_circle_keys_take_effect(self):
-        g = Config({"geometry.elements": "8", "geometry.diameter_m": "0.02"}).geometry()
-        assert g.n_elements == 8
-        assert np.allclose(np.linalg.norm(g.elements, axis=1), 0.01)
-
     def test_default_is_stock_array(self):
         # the config table is the one statement of the paper's sensor: 16
         # PDM microphones at 4.45 MHz share a 480 Mb/s USB high-speed link,
@@ -239,17 +249,10 @@ class TestGeometryKeys:
                                              duration_s=0.003, sample_rate_hz=278_125.0)
         assert sensor.grid == GridSpec(az_start_deg=-90.0, az_stop_deg=90.0, az_step_deg=1.0,
                                        el_start_deg=-90.0, el_stop_deg=90.0, el_step_deg=1.0)
-        # the benchmark builds its stock sensor from Config({}) but records
-        # the geometry_sha256 of default_circular_array(), so the two agree
+        # without geometry.csv the array is default_circular_array(), the
+        # layout whose geometry_sha256 the benchmark records
         assert (geometry_fingerprint(sensor.geometry)
                 == geometry_fingerprint(default_circular_array()))
-
-    def test_csv_wins_over_circle_keys(self, tmp_path):
-        path = tmp_path / "layout.csv"
-        path.write_text("x_m,y_m,z_m,index\n0.015,0,0,0\n0,0.015,0,1\n"
-                        "-0.015,0,0,2\n0,-0.015,0,3\n")
-        g = Config({"geometry.csv": str(path), "geometry.elements": "8"}).geometry()
-        assert g.n_elements == 4
 
     @pytest.mark.parametrize("coordinate", ["nan", "inf", "-inf"])
     def test_non_finite_csv_coordinate_exits_2(self, tmp_path, capsys, coordinate):
@@ -441,9 +444,12 @@ class TestDecodeCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_unreadable_input(self, tmp_path, capsys):
-        rc = run(["decode", str(tmp_path / "missing.bin"), "--out", str(tmp_path)])
-        assert rc == 2
+    @pytest.mark.parametrize("command", ["decode", "localize"])
+    def test_unreadable_input(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run([command, str(tmp_path / "missing.bin"), "--out", str(out)]) == 2
+        assert f"{command}: input: cannot read:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stdin_input(self, tmp_path, capsys, monkeypatch):
         data = make_stream(5)
@@ -505,6 +511,8 @@ class TestBadConfigValues:
         ("scan", "frequency_hz", "inf"),
         ("scan", "c_mps", "inf"),
         ("chirp", "chirp.f_end_hz", "200000"),
+        ("chirp", "chirp.f_start_hz", "-1"),
+        ("chirp", "chirp.duration_s", "-1"),
         # a probe under one sample period, one of more samples than a float
         # holds, and one no ping window holds
         ("chirp", "chirp.duration_s", "1e-9"),

@@ -119,12 +119,52 @@ def test_pings_are_placed_by_timestamp(stock, tmp_path, capsys):
     for ping, frames in ((2, 1), (3, 0), (4, 0), (5, 1)):
         assert f"localize: ping {ping}: {frames} of 16 frames" in err
 
-    # a frame of an earlier ping after a later one is a data error
+    # a frame of an earlier ping after a later one is a data error; the
+    # rows written before it stay
     stream.write_bytes(framing.encode_frame(first[5]) + framing.encode_frame(first[2]))
     out = tmp_path / "out"
     assert cli.main(["localize", str(stream), "--out", str(out)]) == 3
     assert "a frame of ping 2 follows ping 5" in capsys.readouterr().err
-    assert not out.exists()
+    rows = [line.split(",") for line in read_rows(out / "ranges.csv")]
+    assert [row[:2] for row in rows] == [["5", "0.500000"]]
+    assert all(math.isnan(float(v)) for v in rows[0][2:])
+
+
+def test_a_ping_row_is_written_before_the_stream_ends(stock, tmp_path, monkeypatch):
+    # stdin delivers ping 0, then ping 1's first frame, which closes ping 0:
+    # its row is on disk while the stream is still open
+    payloads = [bytes(16 * 13906 // 8)] * pipeline.FRAMES_PER_WINDOW
+    frames = (pipeline.frame_window(stock.sensor, payloads, 0)
+              + pipeline.frame_window(stock.sensor, payloads, 1)[:1])
+    chunks = [b"".join(framing.encode_frame(f) for f in frames[:-1]),
+              framing.encode_frame(frames[-1])]
+    seen = []
+
+    class Live:
+        def read(self, size):
+            if chunks:
+                return chunks.pop(0)
+            seen.append(read_rows(tmp_path / "ranges.csv"))
+            return b""
+
+    monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": Live()})())
+    assert cli.main(["localize", "-", "--out", str(tmp_path)]) == 0
+    assert [[row.split(",")[0] for row in rows] for rows in seen] == [["0"]]
+    assert [row.split(",")[0] for row in read_rows(tmp_path / "ranges.csv")] == ["0", "1"]
+
+
+def test_emission_time_is_the_tick_the_frames_carry(tmp_path):
+    # at 3 Hz a ping is round(4 450 000 / 3) = 1 483 333 ticks, so ping 300
+    # is stamped at 444 999 900 ticks, 99.999978 s, not 300 / 3 = 100 s
+    sensor = cli.Config({"simulate.rate_hz": "3"}).sensor()
+    payloads = [bytes(16 * 13906 // 8)] * pipeline.FRAMES_PER_WINDOW
+    stream = tmp_path / "stream.bin"
+    stream.write_bytes(b"".join(framing.encode_frame(frame)
+                                for frame in pipeline.frame_window(sensor, payloads, 300)))
+    assert cli.main(["localize", str(stream), "--out", str(tmp_path),
+                     "--set", "simulate.rate_hz=3"]) == 0
+    rows = [line.split(",") for line in read_rows(tmp_path / "ranges.csv")]
+    assert [row[:2] for row in rows] == [["300", "99.999978"]]
 
 
 def test_a_window_that_is_not_the_array_exits_3(tmp_path, capsys):
@@ -135,5 +175,5 @@ def test_a_window_that_is_not_the_array_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["localize", str(stream), "--out", str(out)]) == 3
     assert "ping 0 has 8 channels, the array 16" in capsys.readouterr().err
-    assert not out.exists()
+    assert read_rows(out / "ranges.csv") == []
 

@@ -190,3 +190,19 @@ def test_package_top_level_binds_only_the_version():
     assert [ast.dump(statement.targets[0]) if isinstance(statement, ast.Assign)
             else ast.dump(statement) for statement in statements] == [
         ast.dump(ast.Name("__version__", ast.Store()))]
+
+
+def test_readme_key_table_is_the_config_table():
+    # README's table of keys holds one row per DEFAULTS key with its default
+    # string, so a removed or re-defaulted key fails until README follows
+    from sonarray.cli import DEFAULTS
+
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | read by |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((key.strip("`"), default.strip("`")))
+    assert rows == list(DEFAULTS.items())
