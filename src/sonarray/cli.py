@@ -61,6 +61,10 @@ DEFAULTS = {
     "decode.decimate": "false",
     "decode.factor": "16",
 }
+# the key that sets each Sensor field whose check can fail
+SENSOR_KEYS = {"ping_hz": "simulate.rate_hz", "duration_s": "chirp.duration_s",
+               "factor": "decode.factor"}
+CHUNK_BYTES = 65536  # read size of a frame stream
 
 
 class Config:
@@ -164,22 +168,16 @@ class Config:
         return window
 
     def sensor(self) -> pipeline.Sensor:
-        ping_hz = self.get_float("simulate.rate_hz", positive=True)
-        if ping_hz > 1.0 / pipeline.WINDOW_S:
-            raise ConfigError(
-                "simulate.rate_hz", f"must be <= {1.0 / pipeline.WINDOW_S:g} so each "
-                f"{pipeline.WINDOW_S:g} s ping window ends before the next ping, "
-                f"got {ping_hz:g}")
         rate, factor = self._pdm()
-        try:  # the arguments raise ConfigError; Sensor, a ValueError on the probe
-            # length (worded "chirp.duration_s ...") or on the frame split ("factor ...")
+        try:  # the arguments raise ConfigError; Sensor, a ValueError naming its field
             return pipeline.Sensor(
                 geometry=self.geometry(), spec=self.chirp_spec(),
-                chirp_window=self.chirp_window(), grid=self.grid(),
-                c_mps=self.get_float("c_mps", positive=True),
-                pdm_rate_hz=rate, factor=factor, ping_hz=ping_hz)
+                chirp_window=self.chirp_window(),
+                c_mps=self.get_float("c_mps", positive=True), pdm_rate_hz=rate,
+                factor=factor, ping_hz=self.get_float("simulate.rate_hz", positive=True))
         except ValueError as exc:
-            raise ConfigError.from_field("decode.", exc) from None
+            field, _, message = str(exc).partition(" ")
+            raise ConfigError(SENSOR_KEYS[field], message) from None
 
 
 def parse_key_values(lines, source: str):
@@ -283,7 +281,7 @@ class _FrameReader:
 
     def __iter__(self):
         with self.source as stream:
-            while chunk := stream.read(pipeline.CHUNK_BYTES):
+            while chunk := stream.read(CHUNK_BYTES):
                 for event in self.parser.feed(chunk):
                     if isinstance(event, framing.Frame):
                         yield event
@@ -405,32 +403,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _localize_ping(sensor: pipeline.Sensor, ping: int, frames: list) -> tuple:
+def _localize_ping(sensor: pipeline.Sensor, grid: beamforming.GridSpec, ping: int,
+                   frames: list) -> tuple:
     """One ranges.csv row, timed at the PDM tick its frames are stamped from;
-    NaN, with the cause on stderr, when the window is incomplete or gives no estimate."""
-    streams = pipeline.channel_streams(frames, sensor.pdm_rate_hz)
-    if streams and len(streams) != sensor.geometry.n_elements:
-        raise SonarrayError(f"ping {ping} has {len(streams)} channels, "
-                            f"the array {sensor.geometry.n_elements}")
+    NaN, with the cause on stderr, when the window gives no estimate."""
     head = (ping, ping * sensor.ping_ticks / sensor.pdm_rate_hz)
-    if len(frames) != pipeline.FRAMES_PER_WINDOW:
-        cause = f"{len(frames)} of {pipeline.FRAMES_PER_WINDOW} frames"
-    else:
-        try:
-            est, direction = pipeline.localize_window(sensor, streams)
-        except SonarrayError as exc:
-            cause = str(exc)
-        else:
-            return head + (est.delay_s, est.delay_s - sensor.spec.duration_s, est.range_m,
-                           est.peak_value, est.peak_to_noise_db, direction.azimuth_deg,
-                           direction.elevation_deg)
-    print(f"localize: ping {ping}: {cause}", file=sys.stderr)
-    return head + (math.nan,) * 7
+    try:
+        est, direction = pipeline.localize_window(sensor, grid, frames)
+    except SonarrayError as exc:
+        print(f"localize: ping {ping}: {exc}", file=sys.stderr)
+        return head + (math.nan,) * 7
+    return head + (est.delay_s, est.delay_s - sensor.spec.duration_s, est.range_m,
+                   est.peak_value, est.peak_to_noise_db, direction.azimuth_deg,
+                   direction.elevation_deg)
 
 
 def cmd_localize(args) -> int:
     cfg = build_config(args)
     sensor = cfg.sensor()
+    grid = cfg.grid()
     reader = _FrameReader(args.input)
     line = "{},{:.6f},{:.9f},{:.9f},{:.6f},{:.6g},{:.2f},{:.10g},{:.10g}\n".format
     rows, last = 0, None
@@ -443,8 +434,8 @@ def cmd_localize(args) -> int:
                 raise SonarrayError(f"a frame of ping {ping} follows ping {last}")
             start = ping if last is None else last + 1
             for missing in range(start, ping):
-                fh.write(line(*_localize_ping(sensor, missing, [])))
-            fh.write(line(*_localize_ping(sensor, ping, list(frames))))
+                fh.write(line(*_localize_ping(sensor, grid, missing, [])))
+            fh.write(line(*_localize_ping(sensor, grid, ping, list(frames))))
             fh.flush()
             rows, last = rows + ping + 1 - start, ping
     print(reader.summary())

@@ -20,7 +20,7 @@ class ConfigError(SonarrayError):
         """Re-key a ValueError worded "<field> <complaint>" under its key.
 
         The dataclasses that check config values (GridSpec, ChirpSpec,
-        Direction, ReflectorTarget, Sensor) name the bad field first, e.g.
+        Direction, ReflectorTarget) name the bad field first, e.g.
         "strength must lie in (0, 1]".  The key is ``prefix`` + field, or
         the field alone when it is already a dotted key such as
         "grid.az_step", so the message names the key once.

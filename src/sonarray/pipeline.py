@@ -4,10 +4,10 @@ The write side is what the sensor does each ping: :func:`acquire_window`
 renders one ping window at every element and sigma-delta modulates it
 into frame payloads, and :func:`frame_window` numbers the frames and
 stamps them with the PDM clock.  The read side is what the host does:
-:func:`channel_streams` joins frames into per-channel PDM streams, and
-:func:`localize_window` turns one ping window's streams into a range and
-a direction.  :func:`ping_of` places a frame in its ping by its
-timestamp, so a lost frame cannot shift later pings.
+:func:`ping_of` places a frame in its ping by its timestamp, so a lost
+frame cannot shift later pings, and :func:`localize_window` checks one
+ping's frames and turns them into a range and a direction.
+:func:`channel_streams` joins frames into per-channel PDM streams.
 
 The module constants are the chain's fixed decisions, not config keys.
 """
@@ -25,7 +25,6 @@ from .geometry import ArrayGeometry, direction_unit_vector
 
 WINDOW_S = 0.05           # signal seconds recorded per ping
 FRAMES_PER_WINDOW = 16    # 13 906 PDM bits per channel per frame at the stock rates
-CHUNK_BYTES = 65536       # read size of a frame stream
 # Over 0.6-2 m at the stock 20 dB the largest input is at 0.6 m: an echo
 # peak of 1/(0.6 * 0.585) = 2.85 plus noise, at most 3.32 over 60 drawn
 # windows, which 0.25 scales to 0.83 full scale (FS).  That is not clear
@@ -41,32 +40,38 @@ FRONT_END_GAIN = 0.25
 class Sensor:
     """What both ends of the chain agree on: the array, the probe's sweep and
     window function (sampled at the PCM rate pdm_rate_hz / factor), the PDM
-    clock and decimation factor, the ping rate and the scan grid.
+    clock and decimation factor, and the ping rate.
 
-    The sweep's floor(duration * fs) samples, the count ``generate_chirp``
-    makes, must be fewer than a window's, and a window's PDM bits must split
-    into whole frames; only then is the probe, ``chirp``, sampled."""
+    A ping window must end before the next ping; the sweep's
+    floor(duration * fs) samples, the count ``generate_chirp`` makes, must
+    be fewer than a window's; and a window's ``window_bits`` PDM bits per
+    channel must split into whole frames.  Only then is the probe,
+    ``chirp``, sampled.  Each ValueError names the field at fault first."""
 
     geometry: ArrayGeometry
     spec: waveform.ChirpSpec
     chirp_window: str
-    grid: beamforming.GridSpec
     c_mps: float
     pdm_rate_hz: float
     factor: int
     ping_hz: float
     chirp: waveform.PcmTrace = field(init=False)
+    window_bits: int = field(init=False)
 
     def __post_init__(self):
+        if self.ping_hz > 1.0 / WINDOW_S:
+            raise ValueError(f"ping_hz must be <= {1.0 / WINDOW_S:g} so each {WINDOW_S:g} s "
+                             f"ping window ends before the next ping, got {self.ping_hz:g}")
         window = int(WINDOW_S * self.spec.sample_rate_hz)
         probe = math.floor(self.spec.duration_s * self.spec.sample_rate_hz)
         if probe >= window:
-            raise ValueError(f"chirp.duration_s gives a {probe}-sample probe, not "
+            raise ValueError(f"duration_s gives a {probe}-sample probe, not "
                              f"shorter than the {window}-sample {WINDOW_S:g} s ping window")
         bits = window * self.factor
         if bits % FRAMES_PER_WINDOW:
             raise ValueError(f"factor {self.factor} gives {bits} PDM bits per channel per "
                              f"{WINDOW_S:g} s window, not {FRAMES_PER_WINDOW} whole frames")
+        object.__setattr__(self, "window_bits", bits)
         object.__setattr__(self, "chirp", waveform.generate_chirp(self.spec, self.chirp_window))
 
     @property
@@ -109,7 +114,7 @@ def frame_window(sensor: Sensor, payloads: list, ping: int) -> list:
     ping 0, and frame f is stamped ``ping * ping_ticks + f * n`` for n
     bits per channel per frame."""
     channels = sensor.geometry.n_elements
-    spc = 8 * len(payloads[0]) // channels
+    spc = sensor.window_bits // FRAMES_PER_WINDOW
     return [framing.Frame(sequence=(ping * FRAMES_PER_WINDOW + f) % (1 << 32),
                           timestamp_ticks=ping * sensor.ping_ticks + f * spc,
                           samples_per_channel=spc, payload=payload,
@@ -141,21 +146,35 @@ def channel_streams(frames: list, rate_hz: float) -> list:
             for ch, row in enumerate(bits)]
 
 
-def localize_window(sensor: Sensor, streams: list) -> tuple:
-    """(RangeEstimate, Direction) of the echo in one ping window.
+def localize_window(sensor: Sensor, grid: beamforming.GridSpec, frames: list) -> tuple:
+    """(RangeEstimate, Direction) of the echo in one ping window's frames.
 
-    Every channel is decimated.  Channel 0 is matched-filtered against the
-    probe for its delay, with the emission at the window's first sample.
-    The echo gate [delay, delay + probe length) of all channels is
-    demodulated at ``frequency_hz``; the direction is the highest peak of
-    the Bartlett map of its sample covariance.  The range is the emitter's:
-    element 0 at p0 from the emitter hears the echo from direction u over a
-    path shorter by p0.u, so half of that is added to channel 0's
-    c * delay / 2; ``delay_s`` stays channel 0's.  Raises
-    UnreliableEstimateError when the delay cannot be trusted and
-    NoPeakError when the map has no peak.
+    A frame whose channel count is not the array's raises ValueError; a
+    window of other than FRAMES_PER_WINDOW frames or ``window_bits`` PDM
+    bits per channel raises SonarrayError naming the cause.  The frames
+    are joined in the order given and every channel is decimated.
+    Channel 0 is matched-filtered against the probe for its delay, with the
+    emission at the window's first sample.  The echo gate [delay, delay +
+    probe length) of all channels is demodulated at ``frequency_hz``; the
+    direction is the highest peak of the Bartlett map of its sample
+    covariance on ``grid``.  The range is the emitter's: element 0 at p0
+    from the emitter hears the echo from direction u over a path shorter by
+    p0.u, so half of that is added to channel 0's c * delay / 2;
+    ``delay_s`` stays channel 0's.  Raises UnreliableEstimateError when the
+    delay cannot be trusted and NoPeakError when the map has no peak.
     """
-    pcm = [acquisition.pdm_decimate(stream, sensor.factor) for stream in streams]
+    elements = sensor.geometry.n_elements
+    for frame in frames:
+        if frame.channel_count != elements:
+            raise ValueError(f"ping {ping_of(sensor, frame)} has {frame.channel_count} "
+                             f"channels, the array {elements}")
+    if len(frames) != FRAMES_PER_WINDOW:
+        raise SonarrayError(f"{len(frames)} of {FRAMES_PER_WINDOW} frames")
+    bits = sum(frame.samples_per_channel for frame in frames)
+    if bits != sensor.window_bits:
+        raise SonarrayError(f"{bits} PDM bits per channel, the window {sensor.window_bits}")
+    pcm = [acquisition.pdm_decimate(stream, sensor.factor)
+           for stream in channel_streams(frames, sensor.pdm_rate_hz)]
     mf = waveform.matched_filter(pcm[0], sensor.chirp)
     estimate = waveform.estimate_range(mf, 0, sensor.c_mps,
                                        template_length=len(sensor.chirp))
@@ -164,7 +183,7 @@ def localize_window(sensor: Sensor, streams: list) -> tuple:
     block = acquisition.demodulate_capture(capture, sensor.frequency_hz,
                                            gate=(start, start + len(sensor.chirp)))
     pmap = beamforming.power_map(sensor.geometry, signalmodel.sample_covariance(block),
-                                 sensor.grid, sensor.frequency_hz, sensor.c_mps,
+                                 grid, sensor.frequency_hz, sensor.c_mps,
                                  beamformer="bartlett")
     peaks = beamforming.doa_peaks(pmap, max_peaks=1)
     if not peaks:

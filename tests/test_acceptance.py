@@ -48,7 +48,7 @@ def placement_scans(stock):
         maps = {}
         metrics = {}
         for bf in ("bartlett", "mvdr"):
-            maps[bf], metrics[bf] = psf(s.geometry, source, 1.0, 0.01, s.grid,
+            maps[bf], metrics[bf] = psf(s.geometry, source, 1.0, 0.01, stock.grid,
                                         s.frequency_hz, s.c_mps, beamformer=bf, loading=0.0)
         scans.append({"source": source, "R": R, "maps": maps, "metrics": metrics})
     elapsed = time.perf_counter() - start
@@ -95,7 +95,7 @@ def test_criterion_3_dominance_and_distortionless(stock, placement_scans):
     s = stock.sensor
     scans, _ = placement_scans
     with criterion(3, "MVDR <= Bartlett and distortionless on every node"):
-        az, el = s.grid.axes()
+        az, el = stock.grid.axes()
         AZ, EL = np.meshgrid(az, el)
         D = steering_matrix(s.geometry, AZ.ravel(), EL.ravel(), s.frequency_hz, s.c_mps)
         for scan in scans:
@@ -278,7 +278,7 @@ def test_criterion_8_end_to_end(stock):
                                    gate=(gate_start, gate_start + len(template)))
         assert block.n_snapshots >= 256
         R = sample_covariance(block)
-        pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps,
+        pmap = power_map(s.geometry, R, stock.grid, s.frequency_hz, s.c_mps,
                          beamformer="mvdr", loading=1e-3)
         peaks = doa_peaks(pmap, max_peaks=1, min_separation_deg=5.0)
         assert peaks, "no peak found"

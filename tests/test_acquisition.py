@@ -246,7 +246,7 @@ class TestDemodulation:
         start = cap.emission_marker + int(round(delays.mean() * cap.sample_rate_hz))
         block = demodulate_capture(cap, 40_000.0, gate=(start, start + len(tone)))
         R = sample_covariance(block)
-        pmap = power_map(geometry, R, stock.sensor.grid, 40_000.0, stock.sensor.c_mps,
+        pmap = power_map(geometry, R, stock.grid, 40_000.0, stock.sensor.c_mps,
                          beamformer="mvdr", loading=1e-3)
         (top, _), = doa_peaks(pmap, max_peaks=1, min_separation_deg=5.0)
         assert abs(top.azimuth_deg - 25.0) <= 2.0

@@ -168,7 +168,7 @@ class TestPowerMap:
         s = stock.sensor
         L = s.geometry.n_elements
         R = 0.1 * np.eye(L)
-        grid = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0)
+        grid = dataclasses.replace(stock.grid, az_step_deg=5.0, el_step_deg=5.0)
         for bf in ("bartlett", "mvdr"):
             pmap = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer=bf)
             spread = pmap.power.max() - pmap.power.min()
@@ -179,7 +179,7 @@ class TestPowerMap:
     def test_argmax_at_source(self, stock, source, bf):
         s = stock.sensor
         R = single_source_covariance(s, Direction(*source), 1.0, 0.01)
-        pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer=bf)
+        pmap = power_map(s.geometry, R, stock.grid, s.frequency_hz, s.c_mps, beamformer=bf)
         i, j = np.unravel_index(np.argmax(pmap.power), pmap.power.shape)
         assert abs(pmap.azimuth_deg[j] - source[0]) <= 1.0
         assert abs(pmap.elevation_deg[i] - source[1]) <= 1.0
@@ -187,7 +187,7 @@ class TestPowerMap:
     def test_scan_is_deterministic(self, stock):
         s = stock.sensor
         R = single_source_covariance(s, Direction(5, 5))
-        grid = dataclasses.replace(s.grid, az_step_deg=3.0, el_step_deg=3.0)
+        grid = dataclasses.replace(stock.grid, az_step_deg=3.0, el_step_deg=3.0)
         a = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
         b = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
         assert np.array_equal(a.power, b.power)
@@ -201,8 +201,8 @@ class TestPowerMap:
         twin = build_uniform_circular_array(16, 0.030)
         small = build_uniform_circular_array(12, 0.030)
         wide = build_uniform_circular_array(16, 0.060)
-        coarse = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0)
-        skew = dataclasses.replace(s.grid, az_start_deg=-60.0, az_step_deg=4.0,
+        coarse = dataclasses.replace(stock.grid, az_step_deg=5.0, el_step_deg=5.0)
+        skew = dataclasses.replace(stock.grid, az_start_deg=-60.0, az_step_deg=4.0,
                                    el_step_deg=6.0)
         rng = np.random.default_rng(8)
 
@@ -228,7 +228,7 @@ class TestPowerMap:
 
     def test_cached_steering_is_shared_and_read_only(self, stock):
         s = stock.sensor
-        grid = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0)
+        grid = dataclasses.replace(stock.grid, az_step_deg=5.0, el_step_deg=5.0)
         ring, twin = (build_uniform_circular_array(16, 0.030) for _ in range(2))
         D = _scan_steering(ring, grid, s.frequency_hz, s.c_mps)
         assert _scan_steering(twin, grid, s.frequency_hz, s.c_mps) is D
@@ -239,7 +239,7 @@ class TestPowerMap:
     def test_grid_powers_match_per_column_reference(self, stock):
         s = stock.sensor
         L = s.geometry.n_elements
-        az, el = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0).axes()
+        az, el = dataclasses.replace(stock.grid, az_step_deg=5.0, el_step_deg=5.0).axes()
         AZ, EL = np.meshgrid(az, el)
         D = steering_matrix(s.geometry, AZ.ravel(), EL.ravel(), s.frequency_hz, s.c_mps)
         rng = np.random.default_rng(21)
@@ -257,7 +257,7 @@ class TestPowerMap:
     def test_grid_powers_ignore_memory_layout(self, stock):
         # the kernel sums over a float view of D, which needs C order
         s = stock.sensor
-        az, el = dataclasses.replace(s.grid, az_step_deg=5.0, el_step_deg=5.0).axes()
+        az, el = dataclasses.replace(stock.grid, az_step_deg=5.0, el_step_deg=5.0).axes()
         AZ, EL = np.meshgrid(az, el)
         D = steering_matrix(s.geometry, AZ.ravel(), EL.ravel(), s.frequency_hz, s.c_mps)
         R = single_source_covariance(s, Direction(20, -10))
@@ -287,9 +287,9 @@ class TestPowerMap:
     def test_grid_spec_validation(self, stock):
         s = stock.sensor
         with pytest.raises(ValueError, match="az_step"):
-            dataclasses.replace(s.grid, az_step_deg=0.0)
+            dataclasses.replace(stock.grid, az_step_deg=0.0)
         with pytest.raises(ValueError, match="el_stop"):
-            dataclasses.replace(s.grid, el_start_deg=10, el_stop_deg=-10)
+            dataclasses.replace(stock.grid, el_start_deg=10, el_stop_deg=-10)
 
     def test_unknown_beamformer(self, stock):
         s = stock.sensor
@@ -330,7 +330,7 @@ class TestPsfMetrics:
     @pytest.mark.parametrize("source", [(0, 0), (-45, -15)])
     def test_psf_peaks_at_source(self, stock, source):
         s = stock.sensor
-        grid = s.grid
+        grid = stock.grid
         for bf in ("bartlett", "mvdr"):
             pmap, metrics = psf(s.geometry, Direction(*source), 1.0, 0.01, grid,
                                 s.frequency_hz, s.c_mps, beamformer=bf)
@@ -344,14 +344,14 @@ class TestPsfMetrics:
         # a ring's boresight pattern is J0(k a sin theta); its first
         # sidelobe peaks where J0' = -J1 = 0
         s = stock.sensor
-        _, metrics = psf(s.geometry, Direction(0, 0), 1.0, 0.0, s.grid, s.frequency_hz, s.c_mps)
+        _, metrics = psf(s.geometry, Direction(0, 0), 1.0, 0.0, stock.grid, s.frequency_hz, s.c_mps)
         j11 = scipy.special.jn_zeros(1, 1)[0]
         ring = 20.0 * math.log10(abs(scipy.special.j0(j11)))  # -7.8991 dB
         assert abs(metrics.peak_sidelobe_db - ring) <= 0.01
 
     def test_mvdr_beats_bartlett_metrics(self, stock):
         s = stock.sensor
-        grid = s.grid
+        grid = stock.grid
         _, bartlett = psf(s.geometry, Direction(30, 0), 1.0, 0.01, grid, s.frequency_hz, s.c_mps,
                           beamformer="bartlett")
         _, mvdr = psf(s.geometry, Direction(30, 0), 1.0, 0.01, grid, s.frequency_hz, s.c_mps,
@@ -390,7 +390,7 @@ class TestLocalMaxima:
     @pytest.mark.parametrize("source", [(0, 0), (30, 0), (-45, -15)])
     def test_stock_maps_match_per_cell_reference(self, stock, source, bf):
         s = stock.sensor
-        pmap, metrics = psf(s.geometry, Direction(*source), 1.0, 0.01, s.grid,
+        pmap, metrics = psf(s.geometry, Direction(*source), 1.0, 0.01, stock.grid,
                             s.frequency_hz, s.c_mps, beamformer=bf)
         reference = per_cell_maxima(pmap)
         assert list(zip(*(a.tolist() for a in _local_maxima(pmap)))) == reference
@@ -409,7 +409,7 @@ class TestDoaPeaks:
         # so the strict 8-neighbour rule alone would miss a pole source
         s = stock.sensor
         R = single_source_covariance(s, Direction(0, el), 1.0, 0.01)
-        pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer=bf)
+        pmap = power_map(s.geometry, R, stock.grid, s.frequency_hz, s.c_mps, beamformer=bf)
         (top, power), = doa_peaks(pmap)
         assert top.elevation_deg == math.copysign(90.0, el)
         assert power == pmap.power.max()
@@ -418,7 +418,7 @@ class TestDoaPeaks:
     def test_single_source_yields_one_dominant_peak(self, stock):
         s = stock.sensor
         R = single_source_covariance(s, Direction(10, -5), 1.0, 0.01)
-        pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
+        pmap = power_map(s.geometry, R, stock.grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
         peaks = doa_peaks(pmap, max_peaks=3, min_separation_deg=10.0)
         assert peaks
         top, _ = peaks[0]
@@ -429,7 +429,7 @@ class TestDoaPeaks:
         s = stock.sensor
         R = covariance(s, [PointSource(Direction(-30, 0), 1.0),
                            PointSource(Direction(30, 0), 1.0)], 0.01)
-        pmap = power_map(s.geometry, R, s.grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
+        pmap = power_map(s.geometry, R, stock.grid, s.frequency_hz, s.c_mps, beamformer="mvdr")
         peaks = doa_peaks(pmap, max_peaks=2, min_separation_deg=10.0)
         assert len(peaks) == 2
         azimuths = sorted(p[0].azimuth_deg for p in peaks)
@@ -465,7 +465,7 @@ class TestExports:
     @pytest.mark.parametrize("bf, loading", [("bartlett", 0.0), ("mvdr", 1e-3)])
     def test_stock_psf_csv_bytes_match_per_cell_writer(self, stock, tmp_path, bf, loading):
         s = stock.sensor
-        pmap, _ = psf(s.geometry, Direction(-37, 12), 1.0, 0.01, s.grid, s.frequency_hz, s.c_mps,
+        pmap, _ = psf(s.geometry, Direction(-37, 12), 1.0, 0.01, stock.grid, s.frequency_hz, s.c_mps,
                       beamformer=bf, loading=loading)
         assert_same_csv_bytes(pmap, tmp_path)
 
@@ -487,7 +487,7 @@ class TestExports:
     def test_csv_and_pgm(self, stock, tmp_path):
         s = stock.sensor
         R = single_source_covariance(s, Direction(0, 0))
-        grid = dataclasses.replace(s.grid, az_start_deg=-10, az_stop_deg=10,
+        grid = dataclasses.replace(stock.grid, az_start_deg=-10, az_stop_deg=10,
                                    el_start_deg=-10, el_stop_deg=10)
         pmap = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps, beamformer="bartlett")
         csv_path = tmp_path / "map.csv"
@@ -507,7 +507,7 @@ class TestExports:
         s = stock.sensor
         R = single_source_covariance(s, Direction(0, 0))
         big, small = (power_map(s.geometry, R,
-                                dataclasses.replace(s.grid, az_start_deg=-span, az_stop_deg=span,
+                                dataclasses.replace(stock.grid, az_start_deg=-span, az_stop_deg=span,
                                                     el_start_deg=-span, el_stop_deg=span),
                                 s.frequency_hz, s.c_mps) for span in (20, 3))
         (tmp_path / "fresh").mkdir()
@@ -523,7 +523,7 @@ class TestExports:
     def test_db_floor(self, stock):
         s = stock.sensor
         R = single_source_covariance(s, Direction(0, 0), 1.0, 1e-12)
-        grid = dataclasses.replace(s.grid, az_step_deg=10, el_step_deg=10)
+        grid = dataclasses.replace(stock.grid, az_step_deg=10, el_step_deg=10)
         pmap = power_map(s.geometry, R, grid, s.frequency_hz, s.c_mps,
                          beamformer="mvdr", loading=1e-6)
         db = pmap.to_db()
@@ -578,7 +578,7 @@ class TestAsciiFields:
     def test_stock_map_cells_take_the_numpy_path(self, stock, bf, loading):
         # Python % formats only the few cells the numpy path cannot prove
         s = stock.sensor
-        pmap, _ = psf(s.geometry, Direction(-37, 12), 1.0, 0.01, s.grid, s.frequency_hz, s.c_mps,
+        pmap, _ = psf(s.geometry, Direction(-37, 12), 1.0, 0.01, stock.grid, s.frequency_hz, s.c_mps,
                       beamformer=bf, loading=loading)
         for words, values in ((_g10_words, pmap.power), (_f4_words, pmap.to_db())):
             a = np.abs(values.ravel())

@@ -90,7 +90,7 @@ class TestPsfCommand:
         # per map, as perfbench's psf_sweep checks: every CSV row ends in LF,
         # and the metrics' peak sits on the source node
         assert run(["psf", "--out", str(tmp_path)]) == 0
-        az, el = stock.sensor.grid.axes()
+        az, el = stock.grid.axes()
         sources = [tuple(float(v) for v in pair.split(","))
                    for pair in DEFAULTS["psf.sources"].split(";")]
         beamformers = DEFAULTS["psf.beamformers"].split(",")
@@ -247,8 +247,8 @@ class TestGeometryKeys:
         assert sensor.frequency_hz == 40_000
         assert cfg.chirp_spec() == ChirpSpec(f_start_hz=36_000.0, f_end_hz=44_000.0,
                                              duration_s=0.003, sample_rate_hz=278_125.0)
-        assert sensor.grid == GridSpec(az_start_deg=-90.0, az_stop_deg=90.0, az_step_deg=1.0,
-                                       el_start_deg=-90.0, el_stop_deg=90.0, el_step_deg=1.0)
+        assert cfg.grid() == GridSpec(az_start_deg=-90.0, az_stop_deg=90.0, az_step_deg=1.0,
+                                     el_start_deg=-90.0, el_stop_deg=90.0, el_step_deg=1.0)
         # without geometry.csv the array is default_circular_array(), the
         # layout whose geometry_sha256 the benchmark records
         assert (geometry_fingerprint(sensor.geometry)
@@ -524,6 +524,7 @@ class TestBadConfigValues:
         ("simulate", "decode.factor", "10"),  # window bits do not split into frames
         pytest.param("chirp", "decode.factor", str(10 ** 309), id="factor-above-any-float"),
         ("decode", "decode.factor", "100000000"),  # a PCM rate below 1 Hz
+        ("localize", "grid.az_step", "0"),
     ])
     def test_exits_2_naming_the_key_before_any_output(self, tmp_path, capsys,
                                                        command, key, value):
@@ -540,6 +541,12 @@ class TestBadConfigValues:
         assert key in err
         assert err.count(key.rpartition(".")[2]) == 1
         assert list(out.glob("*")) == []
+
+    def test_the_sensor_reads_no_grid_key(self, tmp_path):
+        # simulate never scans, so a grid no scan could use refuses no run of it
+        Config({"grid.az_step": "0"}).sensor()
+        assert run(["simulate", "--out", str(tmp_path), "--set", "simulate.duration_s=0",
+                    "--set", "grid.az_step=0"]) == 0
 
     @pytest.mark.parametrize("command", ["simulate", "localize"])
     def test_a_probe_the_window_cannot_hold_is_refused_before_it_is_sampled(

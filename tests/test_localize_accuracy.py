@@ -1,7 +1,7 @@
 """Accuracy of the sensor chain's fix across the field of view.
 
 Each case runs one deterministic ping window through the package chain,
-acquire_window -> frame_window -> channel_streams -> localize_window, and
+acquire_window -> frame_window -> localize_window, and
 compares the fix with the reflector: the angle between the estimated and
 true look vectors, and the range against the reflector's distance from
 the emitter.  The cases run at 20 dB, and the ten grid directions again
@@ -22,7 +22,9 @@ from sonarray.geometry import Direction, direction_unit_vector
 NOISE_DB = 20.0
 DOA_BOUND_DEG = 1.5       # every case
 DOA_RMS_BOUND_DEG = 0.6   # over the cases
-RANGE_BOUND_M = 0.002     # every case; the CIC's group delay alone is 1.16 mm
+# every case; the decimator's net lag alone, 22.5 PDM bits or 1.41 PCM
+# samples, is about 0.86 mm of range
+RANGE_BOUND_M = 0.002
 # ((azimuth, elevation) in degrees, range in m): ten directions on the
 # stock 1-degree grid out to |az| 80 and |el| 40, then two between its nodes
 CASES = [((0.0, 0.0), 0.6), ((30.0, 10.0), 1.9), ((-30.0, 10.0), 0.9),
@@ -40,7 +42,7 @@ def angle_between_deg(a: Direction, b: Direction) -> float:
     return math.degrees(math.acos(min(1.0, max(-1.0, cos))))
 
 
-def fix_errors(sensor, cases, noise_db):
+def fix_errors(sensor, grid, cases, noise_db):
     """(DOA error in degrees, signed range error in m) per case; case i
     is ping i with noise seed 64 i."""
     out = []
@@ -48,8 +50,7 @@ def fix_errors(sensor, cases, noise_db):
         target = ReflectorTarget(Direction(az, el), range_m)
         _, payloads = pipeline.acquire_window(sensor, target, noise_db, noise_seed=64 * ping)
         frames = pipeline.frame_window(sensor, payloads, ping)
-        estimate, direction = pipeline.localize_window(
-            sensor, pipeline.channel_streams(frames, sensor.pdm_rate_hz))
+        estimate, direction = pipeline.localize_window(sensor, grid, frames)
         doa = angle_between_deg(direction, target.direction)
         ranging = estimate.range_m - range_m
         print(f"[accuracy] ({az:g}, {el:g}) at {range_m:g} m -> "
@@ -65,7 +66,7 @@ def fix_errors(sensor, cases, noise_db):
 
 @pytest.fixture(scope="module")
 def errors(stock):
-    return fix_errors(stock.sensor, CASES, NOISE_DB)
+    return fix_errors(stock.sensor, stock.grid, CASES, NOISE_DB)
 
 
 def test_every_doa_error_is_within_bound(errors):
@@ -85,7 +86,7 @@ def test_every_range_is_the_emitters_within_bound(errors):
 
 
 def test_at_10_db_the_fix_keeps_the_echos_fringe(stock):
-    doa, ranging = fix_errors(stock.sensor, LOW_SNR_CASES, LOW_SNR_DB)
+    doa, ranging = fix_errors(stock.sensor, stock.grid, LOW_SNR_CASES, LOW_SNR_DB)
     bad = np.abs(ranging) > RANGE_BOUND_M
     assert not bad.any(), [(LOW_SNR_CASES[i], ranging[i]) for i in np.flatnonzero(bad)]
     assert doa.max() <= LOW_SNR_DOA_BOUND_DEG

@@ -20,7 +20,8 @@ from test_localize_accuracy import DOA_BOUND_DEG, angle_between_deg  # noqa: E40
 def test_chain_matches_the_benchmark_byte_for_byte(window):
     wl = workloads.Localize(seed=7, workdir=Path("."))
     stock = workloads.Stock()
-    sensor = cli.Config({}).sensor()
+    cfg = cli.Config({})
+    sensor = cfg.sensor()
     target, noise_seed = wl.targets[window], wl.noise_seeds[window]
 
     expected = workloads.acquire_window(stock, target, noise_seed, NullTracer())
@@ -36,7 +37,7 @@ def test_chain_matches_the_benchmark_byte_for_byte(window):
         stock, framing.StreamParser(), b"".join(chunks), NullTracer())
     streams = pipeline.channel_streams(frames, sensor.pdm_rate_hz)
     assert [stream.data for stream in streams] == packed
-    estimate, got = pipeline.localize_window(sensor, streams)
+    estimate, got = pipeline.localize_window(sensor, cfg.grid(), frames)
     # the benchmark keeps channel 0's range and MVDR; the package ranges on
     # the emitter and scans Bartlett, from the same channel-0 delay
     assert range_m == sensor.c_mps * estimate.delay_s / 2.0
@@ -87,6 +88,27 @@ def test_a_lost_frame_blanks_only_its_own_ping(boresight, tmp_path, capsys):
     assert rows[0].split(",")[:2] == ["0", "0.000000"]
     assert all(math.isnan(float(v)) for v in rows[0].split(",")[2:])
     assert rows[1] == clean[1]
+
+
+@pytest.mark.parametrize("spc", [0, 8])
+def test_a_window_of_other_than_its_bits_blanks_only_its_own_ping(boresight, tmp_path,
+                                                                  capsys, spc):
+    # ping 0 is 16 whole frames of spc PDM bits per channel each, not the
+    # window's 222 496 bits
+    frames = [framing.Frame(sequence=f, timestamp_ticks=f * spc, samples_per_channel=spc,
+                            payload=bytes(16 * spc // 8), channel_count=16)
+              for f in range(pipeline.FRAMES_PER_WINDOW)]
+    events, _ = framing.parse_stream((boresight / "stream.bin").read_bytes())
+    stream = tmp_path / "stream.bin"
+    stream.write_bytes(b"".join(framing.encode_frame(f)
+                                for f in frames + events[pipeline.FRAMES_PER_WINDOW:]))
+    capsys.readouterr()
+    assert cli.main(["localize", str(stream), "--out", str(tmp_path)]) == 0
+    assert (f"localize: ping 0: {16 * spc} PDM bits per channel, the window 222496"
+            in capsys.readouterr().err)
+    rows = read_rows(tmp_path / "ranges.csv")
+    assert all(math.isnan(float(v)) for v in rows[0].split(",")[2:])
+    assert rows[1] == read_rows(boresight / "ranges.csv")[1]
 
 
 @pytest.mark.parametrize("command", ["simulate", "localize"])

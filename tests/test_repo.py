@@ -154,6 +154,21 @@ def test_only_the_cli_names_config_keys():
     assert users == []
 
 
+def test_the_cli_reads_no_pipeline_constant():
+    # the ping window's fixed decisions (WINDOW_S, FRAMES_PER_WINDOW, ...)
+    # are read inside sonarray.pipeline, so every window check sits there
+    # and the CLI keeps to config and I/O
+    upper = re.compile(r"[A-Z][A-Z0-9_]*")
+    tree = ast.parse((ROOT / "src" / "sonarray" / "cli.py").read_text())
+    read = [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "pipeline"
+            and upper.fullmatch(node.attr)]
+    read += [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "pipeline"
+             for alias in node.names if upper.fullmatch(alias.name)]
+    assert read == []
+
+
 def test_every_top_level_import_is_used():
     # a name a package module imports at top level must be referenced in
     # that module, and "import a.b" by its dotted name a.b, so a deleted
@@ -206,3 +221,4 @@ def test_readme_key_table_is_the_config_table():
         key, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
         rows.append((key.strip("`"), default.strip("`")))
     assert rows == list(DEFAULTS.items())
+
