@@ -63,7 +63,8 @@ DEFAULTS = {
 }
 # the key that sets each Sensor field whose check can fail
 SENSOR_KEYS = {"ping_hz": "simulate.rate_hz", "duration_s": "chirp.duration_s",
-               "factor": "decode.factor"}
+               "factor": "decode.factor", "geometry": "geometry.csv",
+               "pdm_rate_hz": "decode.rate_hz"}
 CHUNK_BYTES = 65536  # read size of a frame stream
 
 

@@ -33,6 +33,7 @@ _HEADER = struct.Struct("<4sBBHIQI")
 HEADER_SIZE = _HEADER.size  # 24
 CRC_SIZE = 4
 MAX_PAYLOAD = 1 << 20
+MAX_CHANNELS = 0xFF  # channel_count is one header byte
 _SEQ_MOD = 1 << 32
 _SEQ_WINDOW = 1 << 31
 
@@ -50,8 +51,8 @@ class Frame:
             raise ValueError("sequence must fit in 32 bits")
         if not 0 <= self.timestamp_ticks < 1 << 64:
             raise ValueError("timestamp_ticks must fit in 64 bits")
-        if self.channel_count < 1 or self.channel_count > 0xFF:
-            raise ValueError("channel_count must lie in 1..255")
+        if not 1 <= self.channel_count <= MAX_CHANNELS:
+            raise ValueError(f"channel_count must lie in 1..{MAX_CHANNELS}")
         if not 0 <= self.samples_per_channel < _SEQ_MOD:
             raise ValueError("samples_per_channel must fit in 32 bits")
         bits = self.channel_count * self.samples_per_channel

@@ -5,9 +5,11 @@ renders one ping window at every element and sigma-delta modulates it
 into frame payloads, and :func:`frame_window` numbers the frames and
 stamps them with the PDM clock.  The read side is what the host does:
 :func:`ping_of` places a frame in its ping by its timestamp, so a lost
-frame cannot shift later pings, and :func:`localize_window` checks one
-ping's frames and turns them into a range and a direction.
-:func:`channel_streams` joins frames into per-channel PDM streams.
+frame cannot shift later pings, and :func:`localize_window` places each
+frame in its window by the same stamp, checks that the frames tile the
+window, and turns them into a range and a direction.  Only the write
+side knows how a window is cut into frames.  :func:`channel_streams`
+joins frames into per-channel PDM streams in the order given.
 
 The module constants are the chain's fixed decisions, not config keys.
 """
@@ -44,9 +46,11 @@ class Sensor:
 
     A ping window must end before the next ping; the sweep's
     floor(duration * fs) samples, the count ``generate_chirp`` makes, must
-    be fewer than a window's; and a window's ``window_bits`` PDM bits per
-    channel must split into whole frames.  Only then is the probe,
-    ``chirp``, sampled.  Each ValueError names the field at fault first."""
+    be fewer than a window's; a window's ``window_bits`` PDM bits per
+    channel must split into whole frames; and a frame must carry every
+    element's bits in whole bytes, at most MAX_CHANNELS channels and
+    MAX_PAYLOAD bytes.  Only then is the probe, ``chirp``, sampled.  Each
+    ValueError names the field at fault first."""
 
     geometry: ArrayGeometry
     spec: waveform.ChirpSpec
@@ -71,6 +75,17 @@ class Sensor:
         if bits % FRAMES_PER_WINDOW:
             raise ValueError(f"factor {self.factor} gives {bits} PDM bits per channel per "
                              f"{WINDOW_S:g} s window, not {FRAMES_PER_WINDOW} whole frames")
+        elements, spc = self.geometry.n_elements, bits // FRAMES_PER_WINDOW
+        if elements > framing.MAX_CHANNELS:
+            raise ValueError(f"geometry has {elements} elements, more than the "
+                             f"{framing.MAX_CHANNELS} channels a frame carries")
+        if elements * spc % 8:
+            raise ValueError(f"geometry has {elements} elements, so a frame's {elements} x "
+                             f"{spc} PDM bits are not whole bytes")
+        if elements * spc // 8 > framing.MAX_PAYLOAD:
+            raise ValueError(f"pdm_rate_hz {self.pdm_rate_hz:g} gives frames of "
+                             f"{elements * spc // 8} bytes, more than the "
+                             f"{framing.MAX_PAYLOAD} a frame carries")
         object.__setattr__(self, "window_bits", bits)
         object.__setattr__(self, "chirp", waveform.generate_chirp(self.spec, self.chirp_window))
 
@@ -149,10 +164,13 @@ def channel_streams(frames: list, rate_hz: float) -> list:
 def localize_window(sensor: Sensor, grid: beamforming.GridSpec, frames: list) -> tuple:
     """(RangeEstimate, Direction) of the echo in one ping window's frames.
 
-    A frame whose channel count is not the array's raises ValueError; a
-    window of other than FRAMES_PER_WINDOW frames or ``window_bits`` PDM
-    bits per channel raises SonarrayError naming the cause.  The frames
-    are joined in the order given and every channel is decimated.
+    A frame whose channel count is not the array's raises ValueError.  The
+    frames are then placed by their stamps, whatever order they came in:
+    each must start at PDM bit ``timestamp_ticks % ping_ticks`` of the
+    window, the count of bits placed before it, and together they must end
+    at ``window_bits``.  A missing, duplicated or misplaced frame, or a
+    window that ends short or long, raises SonarrayError naming the bit.
+    The frames are joined in stamp order and every channel is decimated.
     Channel 0 is matched-filtered against the probe for its delay, with the
     emission at the window's first sample.  The echo gate [delay, delay +
     probe length) of all channels is demodulated at ``frequency_hz``; the
@@ -168,9 +186,13 @@ def localize_window(sensor: Sensor, grid: beamforming.GridSpec, frames: list) ->
         if frame.channel_count != elements:
             raise ValueError(f"ping {ping_of(sensor, frame)} has {frame.channel_count} "
                              f"channels, the array {elements}")
-    if len(frames) != FRAMES_PER_WINDOW:
-        raise SonarrayError(f"{len(frames)} of {FRAMES_PER_WINDOW} frames")
-    bits = sum(frame.samples_per_channel for frame in frames)
+    frames = sorted(frames, key=lambda frame: frame.timestamp_ticks)
+    bits = 0  # PDM bits per channel placed so far
+    for frame in frames:
+        at = frame.timestamp_ticks % sensor.ping_ticks
+        if at != bits:
+            raise SonarrayError(f"frame at PDM bit {at} of the window, expected {bits}")
+        bits += frame.samples_per_channel
     if bits != sensor.window_bits:
         raise SonarrayError(f"{bits} PDM bits per channel, the window {sensor.window_bits}")
     pcm = [acquisition.pdm_decimate(stream, sensor.factor)

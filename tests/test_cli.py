@@ -562,3 +562,35 @@ class TestBadConfigValues:
         assert run(argv + ["--out", str(tmp_path / "out"),
                            "--set", "chirp.duration_s=0.06"]) == 2
         assert "chirp.duration_s: gives a 16687-sample probe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "localize"])
+    @pytest.mark.parametrize("elements, rate_hz, key, message", [
+        (6, 4_450_000, "geometry.csv", "has 6 elements, so a frame's 6 x 13906 PDM bits "
+                                       "are not whole bytes"),
+        (256, 4_450_000, "geometry.csv", "has 256 elements, more than the 255 channels"),
+        (16, 200_000_000, "decode.rate_hz", "2e+08 gives frames of 1250000 bytes, more "
+                                            "than the 1048576"),
+    ], ids=["6-elements", "256-elements", "200-MHz"])
+    def test_a_window_no_frame_can_carry_is_refused_before_it_is_sampled(
+            self, tmp_path, capsys, monkeypatch, command, elements, rate_hz, key, message):
+        # a ring whose frames are not whole bytes, one of more channels than
+        # the header's byte counts, and a PDM clock whose frames outgrow
+        # MAX_PAYLOAD: each exits 2 before the probe is sampled
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate_chirp was called")
+
+        for module in (cli, waveform):
+            monkeypatch.setattr(module, "generate_chirp", refuse)
+        angles = 2 * np.pi * np.arange(elements) / elements
+        layout = tmp_path / "layout.csv"
+        layout.write_text("x_m,y_m,z_m,index\n" + "".join(
+            f"{0.015 * np.cos(a):.9g},{0.015 * np.sin(a):.9g},0,{i}\n"
+            for i, a in enumerate(angles)))
+        stream = tmp_path / "stream.bin"
+        stream.write_bytes(make_stream(1))
+        out = tmp_path / "out"
+        argv = [command] + ([str(stream)] if command == "localize" else [])
+        assert run(argv + ["--out", str(out), "--set", f"geometry.csv={layout}",
+                           "--set", f"decode.rate_hz={rate_hz}"]) == 2
+        assert f"{command}: {key}: {message}" in capsys.readouterr().err
+        assert not out.exists()

@@ -81,13 +81,40 @@ def test_a_lost_frame_blanks_only_its_own_ping(boresight, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["localize", str(stream), "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()
-    assert "localize: ping 0: 15 of 16 frames" in captured.err
+    assert ("localize: ping 0: frame at PDM bit 83436 of the window, expected 69530"
+            in captured.err)
     assert "frames_lost=1" in captured.out and "crc_mismatch=1" in captured.out
     clean = read_rows(boresight / "ranges.csv")
     rows = read_rows(tmp_path / "ranges.csv")
     assert rows[0].split(",")[:2] == ["0", "0.000000"]
     assert all(math.isnan(float(v)) for v in rows[0].split(",")[2:])
     assert rows[1] == clean[1]
+
+
+@pytest.mark.parametrize("order, cause", [
+    ([0, 2, 1], None),  # frames 1 and 2 swapped
+    ([0, 1, 1], "frame at PDM bit 13906 of the window, expected 27812"),  # 1 sent for 2
+], ids=["swapped", "duplicated"])
+def test_frames_are_placed_in_their_window_by_stamp(boresight, tmp_path, capsys,
+                                                    order, cause):
+    # ping 0's first three frames arrive in ``order``; a window is read by
+    # its stamps, so the swap reads as the clean stream and the duplicate
+    # that displaces frame 2 blanks ping 0 alone
+    events, _ = framing.parse_stream((boresight / "stream.bin").read_bytes())
+    frames = [events[f] for f in order] + events[len(order):]
+    stream = tmp_path / "stream.bin"
+    stream.write_bytes(b"".join(framing.encode_frame(f) for f in frames))
+    capsys.readouterr()
+    assert cli.main(["localize", str(stream), "--out", str(tmp_path)]) == 0
+    clean = read_rows(boresight / "ranges.csv")
+    rows = read_rows(tmp_path / "ranges.csv")
+    if cause is None:
+        assert rows == clean
+    else:
+        assert f"localize: ping 0: {cause}" in capsys.readouterr().err
+        assert rows[0].split(",")[:2] == ["0", "0.000000"]
+        assert all(math.isnan(float(v)) for v in rows[0].split(",")[2:])
+        assert rows[1] == clean[1]
 
 
 @pytest.mark.parametrize("spc", [0, 8])
@@ -138,8 +165,8 @@ def test_pings_are_placed_by_timestamp(stock, tmp_path, capsys):
                                          ["4", "0.400000"], ["5", "0.500000"]]
     assert all(math.isnan(float(v)) for row in rows for v in row[2:])
     err = capsys.readouterr().err
-    for ping, frames in ((2, 1), (3, 0), (4, 0), (5, 1)):
-        assert f"localize: ping {ping}: {frames} of 16 frames" in err
+    for ping, bits in ((2, 13906), (3, 0), (4, 0), (5, 13906)):
+        assert f"localize: ping {ping}: {bits} PDM bits per channel, the window 222496" in err
 
     # a frame of an earlier ping after a later one is a data error; the
     # rows written before it stay

@@ -123,10 +123,11 @@ def test_every_config_key_is_read():
 
 def test_every_key_read_or_named_is_a_config_key():
     # a string literal passed as the key to get_float, get_int, get_bool or
-    # ConfigError in the CLI or the benchmark (its test file excluded) is a
-    # DEFAULTS key or one of the CLI's own sources, so a deleted key cannot
-    # stay read by the benchmark or named in a message
-    from sonarray.cli import DEFAULTS
+    # ConfigError in the CLI or the benchmark (its test file excluded), or a
+    # key SENSOR_KEYS re-keys a Sensor check to, is a DEFAULTS key or one of
+    # the CLI's own sources, so a deleted key cannot stay read by the
+    # benchmark or named in a message
+    from sonarray.cli import DEFAULTS, SENSOR_KEYS
 
     sources = [ROOT / "src" / "sonarray" / "cli.py"] + [
         p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
@@ -137,6 +138,7 @@ def test_every_key_read_or_named_is_a_config_key():
             and getattr(node.func, "attr", getattr(node.func, "id", None)) in readers
             and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)]
     assert keys
+    keys += SENSOR_KEYS.values()
     assert sorted(set(keys) - set(DEFAULTS) - {"input", "config", "--set"}) == []
 
 
