@@ -6,7 +6,7 @@ and ``localize`` reads one back into per-ping ranges and directions.
 Every run is driven by a flat key-value config (file via --config,
 overrides via repeatable --set key=value); all randomness derives from
 one seed.  Exit codes: 0 success, 2 usage/config error, 3 runtime data
-error.
+error or a failed allocation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import collections
 import contextlib
 import dataclasses
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -379,10 +378,10 @@ def cmd_simulate(args) -> int:
     seed = cfg.get_int("seed", minimum=0)
     n_pings = int(duration * sensor.ping_hz + 1e-9)
     try:  # ping 0 before any output, so a target no window can hold exits 2
-        first = pipeline.acquire_window(sensor, target, noise_db, seed)
+        first = pipeline.acquire_window(sensor, target, noise_db, seed, 0)
     except ValueError as exc:
         try:  # ping 0 without noise tells whether the noise is the cause
-            pipeline.acquire_window(sensor, target, math.inf, seed)
+            pipeline.acquire_window(sensor, target, math.inf, seed, 0)
         except ValueError:
             pass
         else:
@@ -396,9 +395,12 @@ def cmd_simulate(args) -> int:
         waveform.save_trace_csv(first[0].channels[0], out / "received.csv")
     with open(out / "stream.bin", "wb") as fh:
         for ping in range(n_pings):
-            _, payloads = first if ping == 0 else pipeline.acquire_window(
-                sensor, target, noise_db, seed + 64 * ping)
-            for frame in pipeline.frame_window(sensor, payloads, ping):
+            try:
+                _, frames = first if ping == 0 else pipeline.acquire_window(
+                    sensor, target, noise_db, seed, ping)
+            except ValueError as exc:  # the earlier pings' frames stay written
+                raise SonarrayError(f"ping {ping}: {exc}") from None
+            for frame in frames:
                 fh.write(framing.encode_frame(frame))
     print(f"simulate: {n_pings} ping(s) written to stream.bin")
     return 0
@@ -425,20 +427,15 @@ def cmd_localize(args) -> int:
     grid = cfg.grid()
     reader = _FrameReader(args.input)
     line = "{},{:.6f},{:.9f},{:.9f},{:.6f},{:.6g},{:.2f},{:.10g},{:.10g}\n".format
-    rows, last = 0, None
-    # a ping's rows are flushed once a later ping's frame, or the end, closes it
+    rows = 0
+    # a ping's row is flushed once a later ping's frame, or the end, closes it
     with open(_out_dir(args) / "ranges.csv", "w", newline="") as fh:
         fh.write("ping,emission_time_s,delay_s,delay_from_sweep_end_s,"
                  "range_m,peak_value,peak_to_noise_db,azimuth_deg,elevation_deg\n")
-        for ping, frames in itertools.groupby(reader, key=lambda f: pipeline.ping_of(sensor, f)):
-            if last is not None and ping <= last:
-                raise SonarrayError(f"a frame of ping {ping} follows ping {last}")
-            start = ping if last is None else last + 1
-            for missing in range(start, ping):
-                fh.write(line(*_localize_ping(sensor, grid, missing, [])))
-            fh.write(line(*_localize_ping(sensor, grid, ping, list(frames))))
+        for ping, frames in pipeline.pings(sensor, reader):
+            fh.write(line(*_localize_ping(sensor, grid, ping, frames)))
             fh.flush()
-            rows, last = rows + ping + 1 - start, ping
+            rows += 1
     print(reader.summary())
     print(f"localize: {rows} ping(s) written to ranges.csv")
     return 0
@@ -504,7 +501,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    except (SonarrayError, ValueError) as exc:
+    except (SonarrayError, ValueError, MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
 

@@ -1,15 +1,16 @@
 """The sensor chain, scene to frames and frames to a fix.
 
 The write side is what the sensor does each ping: :func:`acquire_window`
-renders one ping window at every element and sigma-delta modulates it
-into frame payloads, and :func:`frame_window` numbers the frames and
-stamps them with the PDM clock.  The read side is what the host does:
-:func:`ping_of` places a frame in its ping by its timestamp, so a lost
-frame cannot shift later pings, and :func:`localize_window` places each
-frame in its window by the same stamp, checks that the frames tile the
-window, and turns them into a range and a direction.  Only the write
-side knows how a window is cut into frames.  :func:`channel_streams`
-joins frames into per-channel PDM streams in the order given.
+renders ping p's window at every element, sigma-delta modulates it with
+the ping's own seeds, and frames it through :func:`frame_window`, which
+numbers the frames and stamps them with the PDM clock.  The read side is
+what the host does: :func:`pings` walks a stream's frames ping by ping,
+placing each in its ping by its timestamp, so a lost frame cannot shift
+later pings, and :func:`localize_window` places each frame in its window
+by the same stamp, checks that the frames tile the window, and turns them
+into a range and a direction.  Only the write side knows how a window is
+cut into frames.  :func:`channel_streams` joins frames into per-channel
+PDM streams in the order given.
 
 The module constants are the chain's fixed decisions, not config keys.
 """
@@ -17,6 +18,7 @@ The module constants are the chain's fixed decisions, not config keys.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,27 +103,31 @@ class Sensor:
 
 
 def acquire_window(sensor: Sensor, target: acquisition.ReflectorTarget,
-                   noise_db: float, noise_seed: int) -> tuple:
-    """One ping window, scene to frame payloads.
+                   noise_db: float, seed: int, ping: int) -> tuple:
+    """Ping ``ping`` of the stream of seed ``seed``, scene to frames.
 
     Returns the synthesized capture (before the front-end gain) and the
-    FRAMES_PER_WINDOW payloads.  Channel l draws its noise and its dither
-    from seed ``noise_seed + l`` and is scaled by FRONT_END_GAIN before
-    sigma-delta modulation; payload f holds bits [f*n, (f+1)*n) of every
-    channel, channel-major.
+    ping's FRAMES_PER_WINDOW frames (:func:`frame_window`).  Channel l of
+    ping p draws its noise and its dither from seed ``seed + p * max(64,
+    L) + l`` for L elements, so no two (ping, channel) pairs of a stream
+    share a seed, and the stock 16 elements draw ``seed + 64 p + l``.
+    Each channel is scaled by FRONT_END_GAIN before sigma-delta
+    modulation; payload f holds bits [f*n, (f+1)*n) of every channel,
+    channel-major.
     """
+    base = seed + ping * max(64, sensor.geometry.n_elements)
     capture = acquisition.synthesize_capture(
         sensor.geometry, target, sensor.chirp, noise_db, sensor.c_mps,
-        rng_seed=noise_seed, window_s=WINDOW_S)
+        rng_seed=base, window_s=WINDOW_S)
     bits = np.vstack([
         acquisition.pdm_modulate(
             waveform.PcmTrace(samples=FRONT_END_GAIN * trace.samples,
                               sample_rate_hz=trace.sample_rate_hz),
-            sensor.pdm_rate_hz, rng_seed=noise_seed + ch, channel=ch).bits()
+            sensor.pdm_rate_hz, rng_seed=base + ch, channel=ch).bits()
         for ch, trace in enumerate(capture.channels)])
     payloads = [np.packbits(block).tobytes()
                 for block in np.split(bits, FRAMES_PER_WINDOW, axis=1)]
-    return capture, payloads
+    return capture, frame_window(sensor, payloads, ping)
 
 
 def frame_window(sensor: Sensor, payloads: list, ping: int) -> list:
@@ -137,9 +143,31 @@ def frame_window(sensor: Sensor, payloads: list, ping: int) -> list:
             for f, payload in enumerate(payloads)]
 
 
-def ping_of(sensor: Sensor, frame: framing.Frame) -> int:
-    """The ping a frame belongs to, from its PDM-clock timestamp."""
-    return frame.timestamp_ticks // sensor.ping_ticks
+def pings(sensor: Sensor, frames) -> Iterator[tuple]:
+    """(ping, frames) for every ping from the first frame's to the last
+    frame's, in order, as a stream's frames arrive.
+
+    A frame belongs to ping ``timestamp_ticks // ping_ticks``.  A ping is
+    yielded once a frame of a later ping, or the end of ``frames``, closes
+    it, with its frames in arrival order; a ping that no frame reached
+    comes with ``[]``.  A frame of an earlier ping than the last one read
+    raises SonarrayError ("a frame of ping N follows ping M"), after ping M
+    has been yielded.
+    """
+    ping, window = None, []
+    for frame in frames:
+        at = frame.timestamp_ticks // sensor.ping_ticks
+        if at != ping:
+            if ping is not None:
+                yield ping, window
+                if at < ping:
+                    raise SonarrayError(f"a frame of ping {at} follows ping {ping}")
+                for missing in range(ping + 1, at):
+                    yield missing, []
+            ping, window = at, []
+        window.append(frame)
+    if ping is not None:
+        yield ping, window
 
 
 def channel_streams(frames: list, rate_hz: float) -> list:
@@ -184,8 +212,8 @@ def localize_window(sensor: Sensor, grid: beamforming.GridSpec, frames: list) ->
     elements = sensor.geometry.n_elements
     for frame in frames:
         if frame.channel_count != elements:
-            raise ValueError(f"ping {ping_of(sensor, frame)} has {frame.channel_count} "
-                             f"channels, the array {elements}")
+            raise ValueError(f"ping {frame.timestamp_ticks // sensor.ping_ticks} has "
+                             f"{frame.channel_count} channels, the array {elements}")
     frames = sorted(frames, key=lambda frame: frame.timestamp_ticks)
     bits = 0  # PDM bits per channel placed so far
     for frame in frames:

@@ -218,6 +218,17 @@ class TestScanCommand:
         assert "loading" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["psf", "scan"])
+    def test_a_grid_too_fine_to_allocate_exits_3_writing_nothing(self, tmp_path, capsys,
+                                                                 command):
+        # 1e-12 degree steps ask for about 1.3 PiB, beyond any x86-64
+        # address space, so the allocation fails without touching memory
+        out = tmp_path / "out"
+        assert run([command, "--out", str(out), "--set", "grid.az_step=1e-12"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: Unable to allocate ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_psf_source_power_is_the_items_third_value(self, stock, tmp_path):
         out = tmp_path / "out"
         settings = ("grid.az_step=5", "grid.el_step=5")
@@ -372,6 +383,19 @@ class TestSimulateCommand:
                     "--set", "simulate.duration_s=0.1"]) == 0
         assert hashlib.sha256((tmp_path / "stream.bin").read_bytes()).hexdigest() == (
             "4e8a6fb44e1d04218471593df154f8f61656046fdcf928e935b3f4fea0eb6d69")
+
+    def test_a_later_ping_past_full_scale_exits_3_naming_it(self, tmp_path, capsys):
+        # at seed 1984 ping 0 passes the check made before any output, and
+        # ping 1 (seed 2048) crosses full scale: ping 0's frames stay
+        out = tmp_path / "out"
+        assert run(["simulate", "--out", str(out), "--set", "seed=1984",
+                    "--set", "simulate.noise_db=10", "--set", "simulate.range_m=0.6",
+                    "--set", "simulate.duration_s=0.2"]) == 3
+        assert capsys.readouterr().err == (
+            "simulate: ping 1: samples must lie within [-1, 1] full scale\n")
+        events, stats = parse_stream((out / "stream.bin").read_bytes())
+        assert stats.frames_ok == len(events) == 16
+        assert {e.timestamp_ticks // 445_000 for e in events} == {0}
 
     def test_zero_duration_writes_header_only(self, tmp_path):
         assert simulate_and_localize(tmp_path, "simulate.duration_s=0") == []

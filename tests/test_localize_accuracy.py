@@ -1,10 +1,9 @@
 """Accuracy of the sensor chain's fix across the field of view.
 
 Each case runs one deterministic ping window through the package chain,
-acquire_window -> frame_window -> localize_window, and
-compares the fix with the reflector: the angle between the estimated and
-true look vectors, and the range against the reflector's distance from
-the emitter.  The cases run at 20 dB, and the ten grid directions again
+acquire_window -> localize_window, and compares the fix with the
+reflector: the angle between the estimated and true look vectors, and the
+range against the reflector's distance from the emitter.  The cases run at 20 dB, and the ten grid directions again
 at 10 dB and 2.0 m, where noise can lift a neighbouring fringe of the
 correlation above the echo's crest.  Run with ``-s`` to print one line
 per case and an RMS/max summary.
@@ -44,12 +43,11 @@ def angle_between_deg(a: Direction, b: Direction) -> float:
 
 def fix_errors(sensor, grid, cases, noise_db):
     """(DOA error in degrees, signed range error in m) per case; case i
-    is ping i with noise seed 64 i."""
+    is ping i of seed 0."""
     out = []
     for ping, ((az, el), range_m) in enumerate(cases):
         target = ReflectorTarget(Direction(az, el), range_m)
-        _, payloads = pipeline.acquire_window(sensor, target, noise_db, noise_seed=64 * ping)
-        frames = pipeline.frame_window(sensor, payloads, ping)
+        _, frames = pipeline.acquire_window(sensor, target, noise_db, 0, ping)
         estimate, direction = pipeline.localize_window(sensor, grid, frames)
         doa = angle_between_deg(direction, target.direction)
         ranging = estimate.range_m - range_m

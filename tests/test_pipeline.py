@@ -12,7 +12,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 from spans import NullTracer  # noqa: E402
-from sonarray import cli, framing, pipeline  # noqa: E402
+from sonarray import acquisition, cli, framing, pipeline  # noqa: E402
+from sonarray.errors import SonarrayError  # noqa: E402
 from test_localize_accuracy import DOA_BOUND_DEG, angle_between_deg  # noqa: E402
 
 
@@ -25,13 +26,14 @@ def test_chain_matches_the_benchmark_byte_for_byte(window):
     target, noise_seed = wl.targets[window], wl.noise_seeds[window]
 
     expected = workloads.acquire_window(stock, target, noise_seed, NullTracer())
-    _, payloads = pipeline.acquire_window(sensor, target, stock.noise_db, noise_seed)
+    _, frames = pipeline.acquire_window(sensor, target, stock.noise_db, noise_seed, 0)
+    payloads = [frame.payload for frame in frames]
     assert payloads == expected
 
     bench_frames, chunks = workloads.encode_window(stock, expected, window, NullTracer())
     frames = pipeline.frame_window(sensor, payloads, window)
     assert frames == bench_frames
-    assert {pipeline.ping_of(sensor, frame) for frame in frames} == {window}
+    assert [ping for ping, _ in pipeline.pings(sensor, frames)] == [window]
 
     range_m, direction, packed, _ = workloads.decode_window(
         stock, framing.StreamParser(), b"".join(chunks), NullTracer())
@@ -226,3 +228,56 @@ def test_a_window_that_is_not_the_array_exits_3(tmp_path, capsys):
     assert "ping 0 has 8 channels, the array 16" in capsys.readouterr().err
     assert read_rows(out / "ranges.csv") == []
 
+
+
+def test_pings_walk_every_ping_from_the_first_frames_to_the_last(stock):
+    # the first frame of pings 2 and 5: pings 3 and 4 come with no frames,
+    # and a ping-2 frame after ping 5 raises once ping 5 has been yielded
+    sensor = stock.sensor
+    payloads = [bytes(16 * 13906 // 8)] * pipeline.FRAMES_PER_WINDOW
+    first = {ping: pipeline.frame_window(sensor, payloads, ping)[0] for ping in (2, 5)}
+    assert list(pipeline.pings(sensor, [])) == []
+    assert list(pipeline.pings(sensor, [first[2], first[5]])) == [
+        (2, [first[2]]), (3, []), (4, []), (5, [first[5]])]
+    walk = pipeline.pings(sensor, [first[5], first[2]])
+    assert next(walk) == (5, [first[5]])
+    with pytest.raises(SonarrayError, match="a frame of ping 2 follows ping 5"):
+        next(walk)
+
+
+def test_no_two_channels_of_a_stream_share_a_seed(stock, tmp_path, monkeypatch):
+    # records the noise seeds of synthesize_capture (rng_seed + l for
+    # channel l) and the dither seeds of pdm_modulate, stubbed so that no
+    # sigma-delta loop runs, over pings 0-2 of seed 5
+    noise, dither = [], []
+    synthesize = acquisition.synthesize_capture
+
+    def record_synthesis(geometry, *args, rng_seed, **kwargs):
+        noise.extend(rng_seed + l for l in range(geometry.n_elements))
+        return synthesize(geometry, *args, rng_seed=rng_seed, **kwargs)
+
+    def stub_modulation(trace, rate_hz, rng_seed, *, channel):
+        dither.append(rng_seed)
+        n_bits = len(trace) * round(rate_hz / trace.sample_rate_hz)
+        return acquisition.PdmStream(data=bytes(n_bits // 8), n_bits=n_bits,
+                                     rate_hz=rate_hz, channel=channel)
+
+    monkeypatch.setattr(acquisition, "synthesize_capture", record_synthesis)
+    monkeypatch.setattr(acquisition, "pdm_modulate", stub_modulation)
+    ring = tmp_path / "ring72.csv"
+    ring.write_text("x_m,y_m,z_m,index\n" + "".join(
+        f"{0.015 * math.cos(math.tau * l / 72)!r},{0.015 * math.sin(math.tau * l / 72)!r},0,{l}\n"
+        for l in range(72)))
+    target = cli.Config({}).target()
+
+    def seeds(sensor):
+        noise.clear()
+        dither.clear()
+        for ping in range(3):
+            pipeline.acquire_window(sensor, target, 20.0, 5, ping)
+        return list(noise), list(dither)
+
+    noise72, dither72 = seeds(cli.Config({"geometry.csv": str(ring)}).sensor())
+    assert len(set(noise72)) == len(noise72) == 3 * 72
+    assert len(set(dither72)) == len(dither72) == 3 * 72
+    assert seeds(stock.sensor) == ([5 + 64 * p + l for p in range(3) for l in range(16)],) * 2

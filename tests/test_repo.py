@@ -224,3 +224,44 @@ def test_readme_key_table_is_the_config_table():
         rows.append((key.strip("`"), default.strip("`")))
     assert rows == list(DEFAULTS.items())
 
+
+
+def test_readme_read_by_column_is_what_each_command_reads(tmp_path, monkeypatch):
+    # each command runs once, on a one-ping stream for simulate, localize
+    # and decode, with Config.values wrapped to record the keys it reads;
+    # README's "read by" cell of each key lists exactly those commands
+    from sonarray import cli
+
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    init = cli.Config.__init__
+
+    def recording_init(self, values):
+        init(self, values)
+        self.values = Recording(self.values)
+
+    monkeypatch.setattr(cli.Config, "__init__", recording_init)
+    stream = str(tmp_path / "simulate" / "stream.bin")
+    runs = {"psf": [], "scan": [], "chirp": [], "simulate": ["--set", "simulate.duration_s=0.1"],
+            "localize": [stream], "decode": [stream]}
+    readers = {key: set() for key in cli.DEFAULTS}
+    for command, argv in runs.items():
+        read.clear()
+        assert cli.main([command, "--out", str(tmp_path / command), *argv]) == 0
+        for key in read:
+            readers[key].add(command)
+
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | read by |") + 2
+    column = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, _, commands = (cell.strip() for cell in line.strip("|").split("|"))
+        column[key.strip("`")] = set(commands.split(", "))
+    assert column == readers
