@@ -12,10 +12,15 @@ values (a 4.45 MHz clock, x16) live in the CLI's config table.
   ``sonarray._kernels`` with a compiled backend when available).
 * :func:`pdm_decimate` recovers PCM with a 4-stage CIC decimator (exact
   integer arithmetic, evaluated in polyphase form) plus a
-  droop-compensating FIR.
+  droop-compensating FIR: 95 taps designed by frequency sampling of the
+  inverse-CIC response, Kaiser window with beta 8.
 * :func:`demodulate_capture` produces complex-envelope snapshots by
   quadrature demodulation at the probe's center frequency, which is how
-  captures feed the beamforming path.
+  captures feed the beamforming path; its low-pass is a 129-tap
+  Hamming-windowed sinc.
+
+Both filters are numpy designs, and every convolution is an ``np.fft``
+product at the smallest 2^a 3^b 5^c length that holds it.
 """
 
 from __future__ import annotations
@@ -26,13 +31,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
-import scipy.signal
 
 from . import _kernels
 from .geometry import ArrayGeometry, Direction, direction_unit_vector
 from .signalmodel import SnapshotBlock
-from .waveform import PcmTrace
+from .waveform import PcmTrace, _fast_len
 
 LEAKAGE_GAIN_DB = -20.0  # transmit bleed-through relative to the template peak
 
@@ -214,8 +217,9 @@ def _compensator_taps(rate_out_hz: float, factor: int) -> np.ndarray:
 
     Passband (flat after inverse-CIC pre-emphasis) up to 50 kHz or 35% of
     the output rate, whichever is lower; stopband from 45% of the output
-    rate with >= 60 dB attenuation.  Taps are normalized to exact unit DC
-    gain.
+    rate with >= 60 dB attenuation.  The 95 taps are the inverse FFT of
+    that response, interpolated onto 129 points from 0 to Nyquist, times a
+    Kaiser window (beta 8); they are normalized to exact unit DC gain.
     """
     nyquist = rate_out_hz / 2.0
     pass_hz = min(50_000.0, 0.35 * rate_out_hz)
@@ -225,7 +229,11 @@ def _compensator_taps(rate_out_hz: float, factor: int) -> np.ndarray:
     gains = 1.0 / _cic_magnitude(grid, rate_out_hz * factor, factor)
     freq = np.concatenate((grid, [trans_hz, stop_hz, nyquist]))
     gain = np.concatenate((gains, [0.0, 0.0, 0.0]))
-    taps = scipy.signal.firwin2(95, freq, gain, fs=rate_out_hz, window=("kaiser", 8.0))
+    # frequency sampling: the response on 129 points from 0 to Nyquist,
+    # delayed by the 47-sample centre of 95 taps, back to the time domain
+    x = np.linspace(0.0, nyquist, 129)
+    response = np.interp(x, freq, gain) * np.exp(-47j * np.pi * x / nyquist)
+    taps = np.fft.irfft(response)[:95] * np.kaiser(95, 8.0)
     taps = taps / taps.sum()
     taps.flags.writeable = False  # cached; guard against callers mutating it
     return taps
@@ -234,7 +242,7 @@ def _compensator_taps(rate_out_hz: float, factor: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _compensator_spectrum(rate_out_hz: float, factor: int, nfft: int) -> np.ndarray:
     """Real FFT of the compensator taps zero-padded to nfft points."""
-    spectrum = scipy.fft.rfft(_compensator_taps(rate_out_hz, factor), nfft)
+    spectrum = np.fft.rfft(_compensator_taps(rate_out_hz, factor), nfft)
     spectrum.flags.writeable = False  # cached; guard against callers mutating it
     return spectrum
 
@@ -276,7 +284,9 @@ def pdm_decimate(stream: PdmStream, factor: int) -> PcmTrace:
     equals the textbook integrator/comb cascade sampled at bits factor-1,
     2*factor-1, ...; trailing bits short of a whole block are dropped.
     The FIR multiplies by the taps' spectrum, cached per (output rate,
-    factor, FFT length), and equals ``fftconvolve(mode="same")`` bit for bit.
+    factor, FFT length).  It equals ``scipy.signal.fftconvolve(mode="same")``,
+    the tests' oracle, bit for bit: verified with numpy 2.4.6, whose
+    ``np.fft`` is the pocketfft that ``scipy.fft`` runs.
     """
     if factor < 2:
         raise ValueError("factor must be >= 2")
@@ -306,9 +316,9 @@ def pdm_decimate(stream: PdmStream, factor: int) -> PcmTrace:
         # fftconvolve takes no FFT when an input has length 1
         out = vals * taps[centre]
     else:
-        nfft = scipy.fft.next_fast_len(n_out + taps.size - 1, real=True)
-        spectrum = scipy.fft.rfft(vals, nfft) * _compensator_spectrum(rate_out, factor, nfft)
-        out = scipy.fft.irfft(spectrum, nfft)[centre:centre + n_out]
+        nfft = _fast_len(n_out + taps.size - 1)
+        spectrum = np.fft.rfft(vals, nfft) * _compensator_spectrum(rate_out, factor, nfft)
+        out = np.fft.irfft(spectrum, nfft)[centre:centre + n_out]
     return PcmTrace(samples=out, sample_rate_hz=rate_out)
 
 
@@ -317,8 +327,9 @@ def demodulate_capture(capture: MultichannelCapture, carrier_hz: float, *,
     """Quadrature demodulation to complex-envelope snapshots.
 
     Each channel is mixed with exp(-j*2*pi*carrier*t) and low-pass
-    filtered (linear-phase FIR, delay-compensated); ``gate``, a
-    (start, stop) pair, selects the snapshot sample range, e.g. the echo
+    filtered (a Hamming-windowed sinc with a DEMOD_CUTOFF_HZ cutoff, which
+    must lie below Nyquist, and unit DC gain, delay-compensated); ``gate``,
+    a (start, stop) pair, selects the snapshot sample range, e.g. the echo
     region.  Only the gate plus the filter's half-length on either side is
     mixed and filtered; samples beyond the trace count as zero, so the
     result is the full-trace filter output sliced to the gate.
@@ -326,6 +337,9 @@ def demodulate_capture(capture: MultichannelCapture, carrier_hz: float, *,
     fs = capture.sample_rate_hz
     if not 0 < carrier_hz < fs / 2:
         raise ValueError("carrier_hz must lie below Nyquist")
+    if not DEMOD_CUTOFF_HZ < fs / 2:
+        raise ValueError(f"the {DEMOD_CUTOFF_HZ:g} Hz low-pass cutoff must lie below "
+                         f"Nyquist, {fs / 2:g} Hz")
     n = capture.n_samples
     start, stop = gate
     if not 0 <= start < stop <= n:
@@ -335,8 +349,12 @@ def demodulate_capture(capture: MultichannelCapture, carrier_hz: float, *,
     x = np.vstack([tr.samples[lo:hi] for tr in capture.channels])
     mixed = x * np.exp(-2j * np.pi * carrier_hz * (np.arange(lo, hi) / fs))
     mixed = np.pad(mixed, ((0, 0), (lo - (start - half), stop + half - hi)))
-    taps = scipy.signal.firwin(DEMOD_NUMTAPS, DEMOD_CUTOFF_HZ, fs=fs)
-    z = 2.0 * scipy.signal.fftconvolve(mixed, taps[None, :], mode="valid", axes=1)
+    taps = np.sinc(DEMOD_CUTOFF_HZ / (fs / 2) * (np.arange(DEMOD_NUMTAPS) - half))
+    taps *= np.hamming(DEMOD_NUMTAPS)
+    taps /= taps.sum()
+    nfft = _fast_len(mixed.shape[1] + DEMOD_NUMTAPS - 1)
+    full = np.fft.ifft(np.fft.fft(mixed, nfft, axis=1) * np.fft.fft(taps, nfft), axis=1)
+    z = 2.0 * full[:, DEMOD_NUMTAPS - 1:mixed.shape[1]]  # the filter's valid outputs
     return SnapshotBlock(samples=z)
 
 

@@ -34,7 +34,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoPeakError, SingularMatrixError
 from .geometry import (ArrayGeometry, Direction, geometry_fingerprint,
@@ -149,12 +148,13 @@ def grid_powers(R: np.ndarray, D: np.ndarray, beamformer: str = "bartlett",
         vals = _quadratic_form(R / (L * L), D)
     elif beamformer == "mvdr":
         try:
-            cho = scipy.linalg.cho_factor(_loaded(R, loading))
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+            inv_factor = np.linalg.inv(np.linalg.cholesky(_loaded(R, loading)))
+        except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 "covariance (plus loading) is not positive definite; "
                 "increase the diagonal loading fraction") from exc
-        denom = _quadratic_form(scipy.linalg.cho_solve(cho, np.eye(L)), D)
+        # R = C C^H for the lower factor C, so R^-1 = C^-H C^-1
+        denom = _quadratic_form(inv_factor.conj().T @ inv_factor, D)
         if not np.all(np.isfinite(denom)) or denom.min() <= 0:
             raise SingularMatrixError("d^H R^-1 d is not positive; increase loading")
         vals = 1.0 / denom

@@ -36,6 +36,7 @@ MAX_PAYLOAD = 1 << 20
 MAX_CHANNELS = 0xFF  # channel_count is one header byte
 _SEQ_MOD = 1 << 32
 _SEQ_WINDOW = 1 << 31
+_REORDER_SPAN = 1024  # how far behind the highest sequence number a late frame is recognized
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,11 @@ class StreamParser:
     """Single-consumer incremental parser with resync and loss accounting.
 
     Feed arbitrary byte chunks; each call returns the Frames and
-    CorruptionEvents completed by those bytes.  Not safe for concurrent
-    feeding; safe to hand between threads between calls.
+    CorruptionEvents completed by those bytes.  ``stats.frames_lost``
+    counts the sequence numbers that never arrived; to take a late frame
+    back off it, the parser holds the numbers counted lost within
+    _REORDER_SPAN of the highest seen, at most 1023.  Not safe for
+    concurrent feeding; safe to hand between threads between calls.
     """
 
     def __init__(self):
@@ -104,7 +108,8 @@ class StreamParser:
         self._base = 0        # absolute offset of _buf[0]
         self._pos = 0         # parse position within _buf
         self._scanning = False
-        self._last_sequence = None
+        self._last_sequence = None  # the highest sequence number seen
+        self._missing = set()       # the numbers counted lost, < _REORDER_SPAN behind it
         self.stats = StreamStats()
 
     def feed(self, data: bytes) -> list:
@@ -177,11 +182,26 @@ class StreamParser:
         self._scanning = True
 
     def _account_sequence(self, sequence: int):
-        if self._last_sequence is not None:
-            gap = (sequence - self._last_sequence - 1) % _SEQ_MOD
-            if 0 < gap < _SEQ_WINDOW:
-                self.stats.frames_lost += gap
-        self._last_sequence = sequence
+        """A frame ahead of the highest sequence number seen counts the
+        numbers it skips as lost and becomes the highest.  A frame behind
+        it takes itself back off ``frames_lost`` if its number was counted
+        lost and lies less than _REORDER_SPAN numbers behind; a duplicate
+        takes nothing off.  "Ahead" is within half the 2^32 wrap."""
+        if self._last_sequence is None:
+            self._last_sequence = sequence
+            return
+        ahead = (sequence - self._last_sequence) % _SEQ_MOD
+        if 0 < ahead < _SEQ_WINDOW:
+            if ahead > 1:
+                self.stats.frames_lost += ahead - 1
+                self._missing = {seq for seq in self._missing
+                                 if (sequence - seq) % _SEQ_MOD < _REORDER_SPAN}
+                self._missing.update((sequence - k) % _SEQ_MOD
+                                     for k in range(1, min(ahead, _REORDER_SPAN)))
+            self._last_sequence = sequence
+        elif sequence in self._missing:
+            self._missing.remove(sequence)
+            self.stats.frames_lost -= 1
 
 
 def parse_stream(data: bytes) -> tuple:

@@ -46,7 +46,8 @@ class Sensor:
     window function (sampled at the PCM rate pdm_rate_hz / factor), the PDM
     clock and decimation factor, and the ping rate.
 
-    A ping window must end before the next ping; the sweep's
+    A ping window must end before the next ping; the PCM rate must exceed
+    twice the demodulation low-pass cutoff, DEMOD_CUTOFF_HZ; the sweep's
     floor(duration * fs) samples, the count ``generate_chirp`` makes, must
     be fewer than a window's; a window's ``window_bits`` PDM bits per
     channel must split into whole frames; and a frame must carry every
@@ -68,6 +69,11 @@ class Sensor:
         if self.ping_hz > 1.0 / WINDOW_S:
             raise ValueError(f"ping_hz must be <= {1.0 / WINDOW_S:g} so each {WINDOW_S:g} s "
                              f"ping window ends before the next ping, got {self.ping_hz:g}")
+        pcm_rate = self.pdm_rate_hz / self.factor
+        if not pcm_rate > 2 * acquisition.DEMOD_CUTOFF_HZ:
+            raise ValueError(f"factor {self.factor} gives a {pcm_rate:g} Hz PCM rate, not above "
+                             f"twice the {acquisition.DEMOD_CUTOFF_HZ:g} Hz cutoff of the "
+                             f"demodulation low-pass")
         window = int(WINDOW_S * self.spec.sample_rate_hz)
         probe = math.floor(self.spec.duration_s * self.spec.sample_rate_hz)
         if probe >= window:

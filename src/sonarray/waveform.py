@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.fft
-import scipy.signal
 
 from .errors import UnreliableEstimateError
 
@@ -83,6 +82,20 @@ class RangeEstimate:
             raise ValueError("range_m must be >= 0")
 
 
+@lru_cache(maxsize=64)
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, an FFT length pocketfft takes fast."""
+    best = 1 << (n - 1).bit_length()  # the next power of 2
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:  # odd = 3^b 5^c, times the least power of 2 reaching n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
+
+
 def chirp_samples_at(spec: ChirpSpec, times_s: np.ndarray, window: str = "none") -> np.ndarray:
     """Evaluate the sweep at arbitrary times; zero outside [0, duration).
 
@@ -122,9 +135,10 @@ def matched_filter(received: PcmTrace, template: PcmTrace) -> PcmTrace:
     if not math.isclose(received.sample_rate_hz, template.sample_rate_hz,
                         rel_tol=1e-12, abs_tol=0.0):
         raise ValueError("received and template sample rates differ")
-    m = template.samples.size
-    full = scipy.signal.fftconvolve(received.samples, template.samples[::-1], mode="full")
-    out = full[m - 1:m - 1 + received.samples.size]
+    n, m = received.samples.size, template.samples.size
+    nfft = _fast_len(n + m - 1)
+    spectrum = np.fft.rfft(received.samples, nfft) * np.fft.rfft(template.samples[::-1], nfft)
+    out = np.fft.irfft(spectrum, nfft)[m - 1:m - 1 + n]
     return PcmTrace(samples=out, sample_rate_hz=received.sample_rate_hz)
 
 
@@ -160,8 +174,13 @@ def estimate_range(mf_output: PcmTrace, emission_start_index: int, c_mps: float,
 
     start = checked(int(np.argmax(samples))) - guard
     lobe = samples[start:start + 2 * guard + 1]
-    # zero-padded to a fast FFT length: 2m + 1 is 1669, a prime, for the stock probe
-    analytic = scipy.signal.hilbert(lobe, N=scipy.fft.next_fast_len(lobe.size))
+    # the analytic signal: the one-sided spectrum, positive frequencies
+    # doubled, zero-padded to a fast FFT length (2m + 1 is 1669, a prime,
+    # for the stock probe; the FFT takes 1728 points)
+    nfft = _fast_len(lobe.size)
+    spectrum = np.fft.rfft(lobe, nfft)
+    spectrum[1:(nfft + 1) // 2] *= 2.0
+    analytic = np.fft.ifft(spectrum, nfft)
     peak_idx = start + int(np.argmax(np.abs(analytic[:lobe.size])))
     while peak_idx + 1 < samples.size and samples[peak_idx + 1] > samples[peak_idx]:
         peak_idx += 1

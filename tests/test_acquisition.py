@@ -210,6 +210,21 @@ class TestPdmDecimate:
         assert 20 * np.log10(np.abs(H[stop]).max()) <= -60.0
         assert abs(taps.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("factor", [8, 16, 32])
+    def test_compensator_taps_are_firwin2s(self, stock, factor):
+        # the frequency-sampling design against scipy's: 95 taps, Kaiser
+        # beta 8, through the inverse-CIC passband, the transition and the
+        # stopband points, normalized to unit DC gain
+        rate_out = stock.sensor.pdm_rate_hz / factor
+        pass_hz, stop_hz = min(50_000.0, 0.35 * rate_out), 0.45 * rate_out
+        grid = np.linspace(0.0, pass_hz, 33)
+        freq = [*grid, pass_hz + 0.6 * (stop_hz - pass_hz), stop_hz, rate_out / 2]
+        gain = [*(1.0 / _cic_magnitude(grid, stock.sensor.pdm_rate_hz, factor)), 0.0, 0.0, 0.0]
+        expected = scipy.signal.firwin2(95, freq, gain, fs=rate_out, window=("kaiser", 8.0))
+        expected /= expected.sum()
+        taps = _compensator_taps(rate_out, factor)
+        assert np.max(np.abs(taps - expected)) <= 1e-15 * np.max(np.abs(expected))
+
     def test_round_trip_correlation_and_gain(self, stock):
         fs, rate, factor = stock.spec.sample_rate_hz, stock.sensor.pdm_rate_hz, stock.sensor.factor
         n = int(0.02 * fs)
@@ -294,6 +309,10 @@ class TestDemodulation:
             demodulate_capture(cap, 40_000.0, gate=(100, 50))
         with pytest.raises(ValueError):
             demodulate_capture(cap, 200_000.0, gate=(0, 300))
+        slow = MultichannelCapture(channels=(PcmTrace(np.zeros(400), 2 * DEMOD_CUTOFF_HZ),),
+                                   emission_marker=0)
+        with pytest.raises(ValueError, match="low-pass cutoff must lie below Nyquist"):
+            demodulate_capture(slow, 4_000.0, gate=(0, 300))
 
 
 class TestFileFormats:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,23 @@ class TestMvdr:
             rho = abs(np.vdot(sv, d_s)) ** 2 / L ** 2
             expected = mvdr_closed_form(rho, 1.0, 0.1, L)
             assert abs(look_power(R, sv, "mvdr") - expected) <= 1e-9 * expected
+
+    @pytest.mark.parametrize("loading", [0.0, 1e-3])
+    def test_stock_map_matches_the_cholesky_solve(self, stock, loading):
+        # R^-1 from numpy's Cholesky factor against scipy's cho_factor and
+        # cho_solve, over the stock grid, for the stock psf's off-axis sources
+        s = stock.sensor
+        L = s.geometry.n_elements
+        az, el = stock.grid.axes()
+        AZ, EL = np.meshgrid(az, el)
+        D = steering_matrix(s.geometry, AZ.ravel(), EL.ravel(), s.frequency_hz, s.c_mps)
+        for source in (Direction(30, 0), Direction(-45, -15)):
+            R = single_source_covariance(s, source, 1.0, 0.01)
+            R_loaded = R + loading * (np.trace(R).real / L) * np.eye(L)
+            inverse = scipy.linalg.cho_solve(scipy.linalg.cho_factor(R_loaded), np.eye(L))
+            expected = 1.0 / np.einsum("lm,lm->m", D.conj(), inverse @ D).real
+            np.testing.assert_allclose(grid_powers(R, D, "mvdr", loading), expected,
+                                       rtol=1e-12, atol=0)
 
     def test_mvdr_never_exceeds_bartlett(self, stock):
         s = stock.sensor

@@ -588,6 +588,23 @@ class TestBadConfigValues:
         assert "chirp.duration_s: gives a 16687-sample probe" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "localize"])
+    def test_a_pcm_rate_the_demodulation_low_pass_would_alias_exits_2(self, tmp_path, capsys,
+                                                                      command):
+        # 278 128 Hz / 16 is a 17 383 Hz PCM rate, not above twice the 10 kHz
+        # cutoff; a 3-4 kHz probe is valid there, so only the low-pass refuses it
+        stream = tmp_path / "stream.bin"
+        stream.write_bytes(make_stream(1))
+        out = tmp_path / "out"
+        argv = [command] + ([str(stream)] if command == "localize" else [])
+        for setting in ("decode.rate_hz=278128", "chirp.f_start_hz=3000",
+                        "chirp.f_end_hz=4000", "simulate.duration_s=0.2"):
+            argv += ["--set", setting]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert (f"{command}: decode.factor: 16 gives a 17383 Hz PCM rate, not above twice "
+                f"the 10000 Hz cutoff" in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "localize"])
     @pytest.mark.parametrize("elements, rate_hz, key, message", [
         (6, 4_450_000, "geometry.csv", "has 6 elements, so a frame's 6 x 13906 PDM bits "
                                        "are not whole bytes"),

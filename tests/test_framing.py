@@ -91,6 +91,26 @@ class TestParseIdentity:
         assert stats.frames_ok == 2
         assert stats.frames_lost == 0
 
+    @pytest.mark.parametrize("order, lost", [
+        ([0, 2, 1, *range(3, 16)], 0),     # frames 1 and 2 swapped
+        ([0, *range(2, 16), 1], 0),        # frame 1 sent last
+        ([0, *range(2, 16)], 1),           # frame 1 dropped
+        ([0, 1, 1, *range(2, 16)], 0),     # frame 1 duplicated
+        ([0, 2, 1, 1, *range(3, 16)], 0),  # frame 1 late, then again
+    ], ids=["swapped", "last", "dropped", "duplicated", "late-duplicated"])
+    def test_a_late_frame_is_not_a_lost_one(self, order, lost):
+        _, stats = parse_stream(b"".join(encode_frame(make_frame(seq=s)) for s in order))
+        assert (stats.frames_ok, stats.frames_lost) == (len(order), lost)
+
+    def test_a_late_frame_is_matched_within_the_reorder_span(self):
+        # a late frame is taken off frames_lost when it is less than 1024
+        # numbers behind the highest seen: frame 1 is, after 1024, and is
+        # not, after 1025, so it stays counted
+        for top, lost in ((1024, 1022), (1025, 1024)):
+            stream = b"".join(encode_frame(make_frame(seq=s)) for s in (0, top, 1))
+            _, stats = parse_stream(stream)
+            assert stats.frames_lost == lost
+
     def test_gap_window_boundary(self):
         # gaps are credited only strictly inside the 2**31 window
         inside = b"".join(encode_frame(make_frame(seq=s)) for s in (0, 2 ** 31 - 1))

@@ -93,27 +93,30 @@ def test_a_lost_frame_blanks_only_its_own_ping(boresight, tmp_path, capsys):
     assert rows[1] == clean[1]
 
 
-@pytest.mark.parametrize("order, cause", [
-    ([0, 2, 1], None),  # frames 1 and 2 swapped
-    ([0, 1, 1], "frame at PDM bit 13906 of the window, expected 27812"),  # 1 sent for 2
+@pytest.mark.parametrize("order, cause, lost", [
+    ([0, 2, 1], None, 0),  # frames 1 and 2 swapped
+    ([0, 1, 1], "frame at PDM bit 13906 of the window, expected 27812", 1),  # 1 sent for 2
 ], ids=["swapped", "duplicated"])
 def test_frames_are_placed_in_their_window_by_stamp(boresight, tmp_path, capsys,
-                                                    order, cause):
+                                                    order, cause, lost):
     # ping 0's first three frames arrive in ``order``; a window is read by
     # its stamps, so the swap reads as the clean stream and the duplicate
-    # that displaces frame 2 blanks ping 0 alone
+    # that displaces frame 2 blanks ping 0 alone.  Only frame 2 of the
+    # duplicate's stream is lost.
     events, _ = framing.parse_stream((boresight / "stream.bin").read_bytes())
     frames = [events[f] for f in order] + events[len(order):]
     stream = tmp_path / "stream.bin"
     stream.write_bytes(b"".join(framing.encode_frame(f) for f in frames))
     capsys.readouterr()
     assert cli.main(["localize", str(stream), "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert f"frames_lost={lost}" in captured.out
     clean = read_rows(boresight / "ranges.csv")
     rows = read_rows(tmp_path / "ranges.csv")
     if cause is None:
         assert rows == clean
     else:
-        assert f"localize: ping 0: {cause}" in capsys.readouterr().err
+        assert f"localize: ping 0: {cause}" in captured.err
         assert rows[0].split(",")[:2] == ["0", "0.000000"]
         assert all(math.isnan(float(v)) for v in rows[0].split(",")[2:])
         assert rows[1] == clean[1]

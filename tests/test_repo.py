@@ -1,7 +1,9 @@
 import ast
 import importlib.metadata
+import os
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,37 @@ def test_build_requirements_are_installed():
         if not req.specifier.contains(version, prereleases=True):
             unmet.append(f"{entry}: {version} installed")
     assert unmet == []
+
+
+def test_the_package_runs_on_numpy_alone():
+    # the runtime needs numpy and the standard library only; scipy is the
+    # tests' oracle, so it sits in the test extra and no import of the
+    # package, lazy or not, may load it
+    tomllib = pytest.importorskip("tomllib")
+    requirements = pytest.importorskip("packaging.requirements")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [requirements.Requirement(entry).name for entry in project["dependencies"]] == [
+        "numpy"]
+    allowed = {*sys.stdlib_module_names, "numpy", "sonarray"}
+    foreign = []
+    for path in sorted((ROOT / "src" / "sonarray").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.relative_to(ROOT)}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, sonarray.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert loaded.returncode == 0, loaded.stderr
+    assert [name for name in loaded.stdout.split() if name.startswith("scipy")] == []
 
 
 def definitions_and_references():

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from sonarray.errors import UnreliableEstimateError
 from sonarray.waveform import (PcmTrace, chirp_samples_at, estimate_range,
@@ -133,6 +134,21 @@ class TestMatchedFilter:
             return np.max(np.abs(out[mask])) / out[peak_idx]
 
         assert far_sidelobe(hann) < far_sidelobe(rect)
+
+    @pytest.mark.parametrize("window", ["none", "hann"])
+    def test_matches_the_full_convolution(self, stock, window):
+        # the rfft product against scipy's fftconvolve with the reversed
+        # template, sliced from lag 0, relative to the largest output
+        fs = stock.spec.sample_rate_hz
+        template = generate_chirp(stock.spec, window=window)
+        m = len(template)
+        rng = np.random.default_rng(5)
+        for n in (1, m - 1, m, 13_906):
+            x = rng.standard_normal(n)
+            full = scipy.signal.fftconvolve(x, template.samples[::-1], mode="full")
+            got = matched_filter(PcmTrace(x, fs), template).samples
+            error = np.max(np.abs(got - full[m - 1:m - 1 + n]))
+            assert error <= 1e-12 * np.max(np.abs(full)), n
 
     def test_rate_mismatch_rejected(self, stock):
         template = generate_chirp(stock.spec)
