@@ -46,8 +46,9 @@ DB_FLOOR = -80.0  # export floor for dB maps
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform azimuth/elevation grid, degrees, endpoints included; starts
-    and stops lie in [-90, 90], the front hemisphere ``Direction`` spans."""
+    """Uniform azimuth/elevation grid, degrees, endpoints included; starts and
+    stops lie in [-90, 90], the front hemisphere ``Direction`` spans.  Each
+    ValueError names the field at fault first."""
 
     az_start_deg: float
     az_stop_deg: float
@@ -58,18 +59,17 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("az", "el"):
-            start = getattr(self, f"{name}_start_deg")
-            stop = getattr(self, f"{name}_stop_deg")
-            step = getattr(self, f"{name}_step_deg")
+            start, stop, step = (getattr(self, f"{name}_{part}_deg")
+                                 for part in ("start", "stop", "step"))
             for part, value in (("start", start), ("stop", stop), ("step", step)):
                 if not math.isfinite(value):
-                    raise ValueError(f"grid.{name}_{part} must be finite, got {value!r}")
+                    raise ValueError(f"{name}_{part}_deg must be finite, got {value!r}")
                 if part != "step" and not -90.0 <= value <= 90.0:
-                    raise ValueError(f"grid.{name}_{part} must lie in [-90, 90], got {value!r}")
+                    raise ValueError(f"{name}_{part}_deg must lie in [-90, 90], got {value!r}")
             if not step > 0:
-                raise ValueError(f"grid.{name}_step must be > 0")
+                raise ValueError(f"{name}_step_deg must be > 0")
             if stop < start:
-                raise ValueError(f"grid.{name}_stop must be >= grid.{name}_start")
+                raise ValueError(f"{name}_stop_deg must be >= the start, {start!r}")
 
     def axes(self) -> tuple:
         def axis(start, stop, step):

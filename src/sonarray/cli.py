@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 from . import (__version__, acquisition, beamforming, framing, pipeline,
                waveform)
-from .errors import ConfigError, SonarrayError
+from .errors import SonarrayError
 from .geometry import (SPEED_OF_SOUND_MPS, Direction, default_circular_array,
                        load_geometry_csv)
 from .signalmodel import PointSource, covariance_analytic
@@ -60,11 +60,34 @@ DEFAULTS = {
     "decode.decimate": "false",
     "decode.factor": "16",
 }
-# the key that sets each Sensor field whose check can fail
-SENSOR_KEYS = {"ping_hz": "simulate.rate_hz", "duration_s": "chirp.duration_s",
-               "factor": "decode.factor", "geometry": "geometry.csv",
-               "pdm_rate_hz": "decode.rate_hz"}
+# the key that sets each field the library checks: a GridSpec, ChirpSpec,
+# Direction, ReflectorTarget or Sensor ValueError names its field first
+FIELD_KEYS = {
+    "az_start_deg": "grid.az_start", "az_stop_deg": "grid.az_stop", "az_step_deg": "grid.az_step",
+    "el_start_deg": "grid.el_start", "el_stop_deg": "grid.el_stop", "el_step_deg": "grid.el_step",
+    "f_start_hz": "chirp.f_start_hz", "f_end_hz": "chirp.f_end_hz",
+    "duration_s": "chirp.duration_s", "azimuth_deg": "simulate.azimuth_deg",
+    "elevation_deg": "simulate.elevation_deg", "range_m": "simulate.range_m",
+    "strength": "simulate.strength", "ping_hz": "simulate.rate_hz", "factor": "decode.factor",
+    "pdm_rate_hz": "decode.rate_hz", "geometry": "geometry.csv"}
 CHUNK_BYTES = 65536  # read size of a frame stream
+
+
+class ConfigError(Exception):
+    """A run configuration key is missing, malformed, or out of range."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key}: {message}")
+
+
+def _build(cls, **fields):
+    """``cls(**fields)``, its ValueError re-keyed to a ConfigError under the
+    FIELD_KEYS key of the field the message names first."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        field, _, message = str(exc).partition(" ")
+        raise ConfigError(FIELD_KEYS[field], message) from None
 
 
 class Config:
@@ -121,16 +144,9 @@ class Config:
             raise ConfigError("geometry.csv", str(exc)) from None
 
     def grid(self) -> beamforming.GridSpec:
-        try:
-            return beamforming.GridSpec(
-                az_start_deg=self.get_float("grid.az_start"),
-                az_stop_deg=self.get_float("grid.az_stop"),
-                az_step_deg=self.get_float("grid.az_step"),
-                el_start_deg=self.get_float("grid.el_start"),
-                el_stop_deg=self.get_float("grid.el_stop"),
-                el_step_deg=self.get_float("grid.el_step"))
-        except ValueError as exc:
-            raise ConfigError.from_field("grid.", exc) from None
+        return _build(beamforming.GridSpec, **{
+            field: self.get_float(key) for field, key in FIELD_KEYS.items()
+            if key.startswith("grid.")})
 
     def _pdm(self) -> tuple:
         """(PDM clock, decimation factor); their PCM rate is >= 1 Hz."""
@@ -142,24 +158,17 @@ class Config:
 
     def chirp_spec(self) -> ChirpSpec:
         rate, factor = self._pdm()
-        try:
-            return ChirpSpec(
-                f_start_hz=self.get_float("chirp.f_start_hz"),
-                f_end_hz=self.get_float("chirp.f_end_hz"),
-                duration_s=self.get_float("chirp.duration_s"),
-                sample_rate_hz=rate / factor)
-        except ValueError as exc:  # an edge outside (0, fs/2), or not a finite sample count >= 1
-            raise ConfigError.from_field("chirp.", exc) from None
+        return _build(ChirpSpec, f_start_hz=self.get_float("chirp.f_start_hz"),
+                      f_end_hz=self.get_float("chirp.f_end_hz"),
+                      duration_s=self.get_float("chirp.duration_s"),
+                      sample_rate_hz=rate / factor)
 
     def target(self) -> acquisition.ReflectorTarget:
-        try:
-            return acquisition.ReflectorTarget(
-                direction=Direction(self.get_float("simulate.azimuth_deg"),
-                                    self.get_float("simulate.elevation_deg")),
-                range_m=self.get_float("simulate.range_m"),
-                strength=self.get_float("simulate.strength"))
-        except ValueError as exc:
-            raise ConfigError.from_field("simulate.", exc) from None
+        direction = _build(Direction, azimuth_deg=self.get_float("simulate.azimuth_deg"),
+                           elevation_deg=self.get_float("simulate.elevation_deg"))
+        return _build(acquisition.ReflectorTarget, direction=direction,
+                      range_m=self.get_float("simulate.range_m"),
+                      strength=self.get_float("simulate.strength"))
 
     def chirp_window(self) -> str:
         window = self.get("chirp.window")
@@ -169,15 +178,10 @@ class Config:
 
     def sensor(self) -> pipeline.Sensor:
         rate, factor = self._pdm()
-        try:  # the arguments raise ConfigError; Sensor, a ValueError naming its field
-            return pipeline.Sensor(
-                geometry=self.geometry(), spec=self.chirp_spec(),
-                chirp_window=self.chirp_window(),
-                c_mps=self.get_float("c_mps", positive=True), pdm_rate_hz=rate,
-                factor=factor, ping_hz=self.get_float("simulate.rate_hz", positive=True))
-        except ValueError as exc:
-            field, _, message = str(exc).partition(" ")
-            raise ConfigError(SENSOR_KEYS[field], message) from None
+        return _build(pipeline.Sensor, geometry=self.geometry(), spec=self.chirp_spec(),
+                      chirp_window=self.chirp_window(),
+                      c_mps=self.get_float("c_mps", positive=True), pdm_rate_hz=rate,
+                      factor=factor, ping_hz=self.get_float("simulate.rate_hz", positive=True))
 
 
 def parse_key_values(lines, source: str):
@@ -427,16 +431,22 @@ def cmd_localize(args) -> int:
     grid = cfg.grid()
     reader = _FrameReader(args.input)
     line = "{},{:.6f},{:.9f},{:.9f},{:.6f},{:.6g},{:.2f},{:.10g},{:.10g}\n".format
-    rows = 0
+    rows = refused = 0
     # a ping's row is flushed once a later ping's frame, or the end, closes it
     with open(_out_dir(args) / "ranges.csv", "w", newline="") as fh:
         fh.write("ping,emission_time_s,delay_s,delay_from_sweep_end_s,"
                  "range_m,peak_value,peak_to_noise_db,azimuth_deg,elevation_deg\n")
-        for ping, frames in pipeline.pings(sensor, reader):
-            fh.write(line(*_localize_ping(sensor, grid, ping, frames)))
+        for item in pipeline.pings(sensor, reader):
+            if isinstance(item, framing.Frame):
+                print(f"localize: frame {item.sequence} stamped at ping "
+                      f"{item.timestamp_ticks // sensor.ping_ticks} refused: it skips more "
+                      "pings than sequence numbers", file=sys.stderr)
+                refused += 1
+                continue
+            fh.write(line(*_localize_ping(sensor, grid, *item)))
             fh.flush()
             rows += 1
-    print(reader.summary())
+    print(reader.summary() + (f" frames_refused={refused}" if refused else ""))
     print(f"localize: {rows} ping(s) written to ranges.csv")
     return 0
 

@@ -149,20 +149,28 @@ def frame_window(sensor: Sensor, payloads: list, ping: int) -> list:
             for f, payload in enumerate(payloads)]
 
 
-def pings(sensor: Sensor, frames) -> Iterator[tuple]:
+def pings(sensor: Sensor, frames) -> Iterator:
     """(ping, frames) for every ping from the first frame's to the last
-    frame's, in order, as a stream's frames arrive.
+    frame's, in order, as a stream's frames arrive, and each refused frame
+    itself, when it arrives.
 
     A frame belongs to ping ``timestamp_ticks // ping_ticks``.  A ping is
     yielded once a frame of a later ping, or the end of ``frames``, closes
     it, with its frames in arrival order; a ping that no frame reached
-    comes with ``[]``.  A frame of an earlier ping than the last one read
-    raises SonarrayError ("a frame of ping N follows ping M"), after ping M
-    has been yielded.
+    comes with ``[]``.  As every ping holds a frame, numbered on from the
+    last (:func:`frame_window`), a frame k pings ahead is refused unless its
+    sequence number is k to 2^31 - 1 past the current ping's highest, mod
+    2^32; the walk stays on its ping.  A frame of an earlier ping than the
+    last one read raises SonarrayError ("a frame of ping N follows ping
+    M"), after ping M has been yielded.
     """
-    ping, window = None, []
+    ping, window, highest = None, [], 0
     for frame in frames:
         at = frame.timestamp_ticks // sensor.ping_ticks
+        ahead = (frame.sequence - highest) % (1 << 32)
+        if ping is not None and at > ping and not at - ping <= ahead < 1 << 31:
+            yield frame
+            continue
         if at != ping:
             if ping is not None:
                 yield ping, window
@@ -171,6 +179,8 @@ def pings(sensor: Sensor, frames) -> Iterator[tuple]:
                 for missing in range(ping + 1, at):
                     yield missing, []
             ping, window = at, []
+        if not window or 0 < ahead < 1 << 31:
+            highest = frame.sequence
         window.append(frame)
     if ping is not None:
         yield ping, window

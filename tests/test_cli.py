@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import struct
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sonarray import cli, waveform
+from sonarray import acquisition, cli, pipeline, waveform
 from sonarray.beamforming import GridSpec, power_map, psf, save_power_map_csv
 from sonarray.cli import DEFAULTS, Config, main
 from sonarray.framing import Frame, encode_frame, parse_stream
@@ -565,6 +566,27 @@ class TestBadConfigValues:
         assert key in err
         assert err.count(key.rpartition(".")[2]) == 1
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command", ["psf", "localize"])
+    @pytest.mark.parametrize("axis", ["az", "el"])
+    def test_a_stop_below_its_start_exits_2_naming_the_stop_key_once(
+            self, tmp_path, capsys, command, axis):
+        stream = tmp_path / "stream.bin"
+        stream.write_bytes(make_stream(1))
+        out = tmp_path / "out"
+        argv = [command] + ([str(stream)] if command == "localize" else [])
+        assert run(argv + ["--out", str(out), "--set", f"grid.{axis}_start=10",
+                           "--set", f"grid.{axis}_stop=0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"{command}: grid.{axis}_stop: must be >= the start, 10.0\n"
+        assert err.count(f"grid.{axis}_stop") == 1 and "_deg" not in err
+        assert not out.exists()
+
+    def test_every_field_keys_entry_is_a_field_the_library_checks(self):
+        checked = (GridSpec, ChirpSpec, Direction, acquisition.ReflectorTarget, pipeline.Sensor)
+        fields = {field.name for cls in checked for field in dataclasses.fields(cls)}
+        assert sorted(set(cli.FIELD_KEYS) - fields) == []
+        assert sorted(set(cli.FIELD_KEYS.values()) - set(DEFAULTS)) == []
 
     def test_the_sensor_reads_no_grid_key(self, tmp_path):
         # simulate never scans, so a grid no scan could use refuses no run of it

@@ -155,13 +155,11 @@ def test_ping_rate_above_the_window_rate_exits_2(tmp_path, capsys, command):
 
 
 def test_pings_are_placed_by_timestamp(stock, tmp_path, capsys):
-    # the first frame of pings 2 and 5 only, numbered 0 and 1: rows 2..5,
-    # each NaN with its cause
+    # the first frame of pings 2 and 5 only, numbered 32 and 80 as
+    # frame_window numbers them: rows 2..5, each NaN with its cause
     sensor = stock.sensor
     payloads = [bytes(16 * 13906 // 8)] * pipeline.FRAMES_PER_WINDOW
-    first = {ping: dataclasses.replace(pipeline.frame_window(sensor, payloads, ping)[0],
-                                       sequence=n)
-             for n, ping in enumerate((2, 5))}
+    first = {ping: pipeline.frame_window(sensor, payloads, ping)[0] for ping in (2, 5)}
     stream = tmp_path / "stream.bin"
     stream.write_bytes(framing.encode_frame(first[2]) + framing.encode_frame(first[5]))
     assert cli.main(["localize", str(stream), "--out", str(tmp_path)]) == 0
@@ -246,6 +244,57 @@ def test_pings_walk_every_ping_from_the_first_frames_to_the_last(stock):
     assert next(walk) == (5, [first[5]])
     with pytest.raises(SonarrayError, match="a frame of ping 2 follows ping 5"):
         next(walk)
+
+
+def test_a_stamp_its_sequence_number_cannot_reach_is_refused(stock, tmp_path, capsys):
+    # frames numbered 0 and 1, stamped at pings 0 and 100 000: one sequence
+    # number cannot span 100 000 pings, so the second frame is refused and
+    # the walk stays on ping 0, which gives the stream's one row
+    sensor = stock.sensor
+    payloads = [bytes(16 * 13906 // 8)] * pipeline.FRAMES_PER_WINDOW
+    frames = [pipeline.frame_window(sensor, payloads, 0)[0], dataclasses.replace(
+        pipeline.frame_window(sensor, payloads, 100_000)[0], sequence=1)]
+    assert list(pipeline.pings(sensor, frames)) == [frames[1], (0, frames[:1])]
+    stream = tmp_path / "stream.bin"
+    stream.write_bytes(b"".join(framing.encode_frame(frame) for frame in frames))
+    assert cli.main(["localize", str(stream), "--out", str(tmp_path)]) == 0
+    assert [row.split(",")[0] for row in read_rows(tmp_path / "ranges.csv")] == ["0"]
+    out, err = capsys.readouterr()
+    assert "frames_lost=0 resyncs=0 bytes_discarded=0 frames_refused=1\n" in out
+    assert ("localize: frame 1 stamped at ping 100000 refused: it skips more pings than "
+            "sequence numbers\n") in err
+
+
+def test_pings_skipped_with_their_frames_are_nan_rows(stock, tmp_path, capsys):
+    # pings 0 and 3 in full, numbered 0-15 and 48-63: the numbers between
+    # cover the two pings lost, so pings 1 and 2 are NaN rows and nothing
+    # is refused; a clean stream's summary names no refusal
+    sensor = stock.sensor
+    payloads = [bytes(16 * 13906 // 8)] * pipeline.FRAMES_PER_WINDOW
+    frames = pipeline.frame_window(sensor, payloads, 0) + pipeline.frame_window(sensor, payloads, 3)
+    assert [frame.sequence for frame in frames] == [*range(16), *range(48, 64)]
+    stream = tmp_path / "stream.bin"
+    stream.write_bytes(b"".join(framing.encode_frame(frame) for frame in frames))
+    assert cli.main(["localize", str(stream), "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in read_rows(tmp_path / "ranges.csv")]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+    assert all(math.isnan(float(v)) for row in rows[1:3] for v in row[2:])
+    out, err = capsys.readouterr()
+    assert "frames_refused" not in out and "refused" not in err
+
+
+def test_the_ping_walk_counts_sequence_numbers_across_the_wrap(stock):
+    # 2^32 - 1 then 0 is one number on, enough for the next ping; a number
+    # 2^31 or more past the highest reads as behind it and is refused
+    sensor = stock.sensor
+    payloads = [bytes(16 * 13906 // 8)] * pipeline.FRAMES_PER_WINDOW
+    last = dataclasses.replace(pipeline.frame_window(sensor, payloads, 0)[-1],
+                               sequence=(1 << 32) - 1)
+    for sequence, accepted in ((0, True), ((1 << 31) - 2, True), ((1 << 31) - 1, False)):
+        after = dataclasses.replace(pipeline.frame_window(sensor, payloads, 1)[0],
+                                    sequence=sequence)
+        walk = list(pipeline.pings(sensor, [last, after]))
+        assert walk == ([(0, [last]), (1, [after])] if accepted else [after, (0, [last])])
 
 
 def test_no_two_channels_of_a_stream_share_a_seed(stock, tmp_path, monkeypatch):

@@ -157,10 +157,10 @@ def test_every_config_key_is_read():
 def test_every_key_read_or_named_is_a_config_key():
     # a string literal passed as the key to get_float, get_int, get_bool or
     # ConfigError in the CLI or the benchmark (its test file excluded), or a
-    # key SENSOR_KEYS re-keys a Sensor check to, is a DEFAULTS key or one of
+    # key FIELD_KEYS re-keys a library check to, is a DEFAULTS key or one of
     # the CLI's own sources, so a deleted key cannot stay read by the
     # benchmark or named in a message
-    from sonarray.cli import DEFAULTS, SENSOR_KEYS
+    from sonarray.cli import DEFAULTS, FIELD_KEYS
 
     sources = [ROOT / "src" / "sonarray" / "cli.py"] + [
         p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
@@ -171,22 +171,31 @@ def test_every_key_read_or_named_is_a_config_key():
             and getattr(node.func, "attr", getattr(node.func, "id", None)) in readers
             and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)]
     assert keys
-    keys += SENSOR_KEYS.values()
+    keys += FIELD_KEYS.values()
     assert sorted(set(keys) - set(DEFAULTS) - {"input", "config", "--set"}) == []
 
 
 def test_only_the_cli_names_config_keys():
-    # ConfigError, the error that names a config key, is referenced only by
-    # the CLI and where it is defined, so the library knows nothing of
-    # config keys or files
+    # ConfigError, the error that names a config key, is referenced only in
+    # the CLI, and no other module holds a string, or an f-string part, that
+    # starts with a key's section ("grid.", "chirp.", ...), so the library
+    # knows nothing of config keys or files and names its own fields
+    from sonarray.cli import DEFAULTS
+
+    sections = tuple({key.partition(".")[0] + "." for key in DEFAULTS if "." in key})
     package = ROOT / "src" / "sonarray"
-    users = sorted(path.relative_to(package).as_posix() for path in package.rglob("*.py")
-                   if path.relative_to(package).as_posix()
-                   not in ("cli.py", "errors.py") and any(
-                       getattr(node, "id", getattr(node, "attr", None)) == "ConfigError"
-                       or (isinstance(node, ast.alias) and node.name == "ConfigError")
-                       for node in ast.walk(ast.parse(path.read_text(), str(path)))))
-    assert users == []
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            if "ConfigError" in names:  # a name, an attribute, an import or a class
+                found.append(f"{path.name}: ConfigError")
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.startswith(sections)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []
 
 
 def test_the_cli_reads_no_pipeline_constant():
