@@ -2,7 +2,10 @@
 
 Kept operation-for-operation identical to the compiled version in
 ``_sdm.c`` (same expressions, same association order), so both
-backends produce bit-identical streams.
+backends produce bit-identical streams.  The loop reads its inputs
+through memoryviews and writes one bytearray that ``out`` copies
+without an intermediate, so beyond its arguments it holds one byte
+per sample.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ def sigma_delta_bits(x, dither, clip1: float, clip2: float, out) -> None:
     i2 = 0.0
     y = -1.0
     idx = 0
-    for u, dth in zip(x.tolist(), dither.tolist()):
+    for u, dth in zip(memoryview(x), memoryview(dither)):
         i1 = i1 + u - y
         if i1 > clip1:
             i1 = clip1
@@ -42,4 +45,4 @@ def sigma_delta_bits(x, dither, clip1: float, clip2: float, out) -> None:
         else:
             y = -1.0
         idx += 1
-    out[:] = np.frombuffer(bytes(bits), dtype=np.uint8)
+    out[:] = np.frombuffer(bits, dtype=np.uint8)

@@ -256,7 +256,8 @@ def _cic_phase_tables(factor: int) -> np.ndarray:
     so block m of the input dotted with phase j is block m's share of
     output m + j.  With each block packed MSB-first into ceil(factor/8)
     bytes, table[k, v, j] is the dot product of phase j with byte k of a
-    block when that byte has value v.
+    block when that byte has value v, its bits mapped to +-1: twice the
+    0/1 dot product less that of the all-ones byte 255.
     """
     h = np.ones(1, dtype=np.int64)
     for _ in range(4):
@@ -267,7 +268,8 @@ def _cic_phase_tables(factor: int) -> np.ndarray:
     phases[:factor] = h.reshape(4, factor)[:, ::-1].T
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
     table = np.einsum("vt,ktj->kvj", byte_bits.astype(np.int64),
-                      phases.reshape(n_bytes, 8, 4)).astype(float)
+                      phases.reshape(n_bytes, 8, 4))
+    table = (2 * table - table[:, 255:]).astype(float)
     table.flags.writeable = False  # cached; guard against callers mutating it
     return table
 
@@ -298,13 +300,10 @@ def pdm_decimate(stream: PdmStream, factor: int) -> PcmTrace:
     aligned = np.zeros((n_out, 8 * n_bytes), dtype=np.uint8)  # blocks start on a byte
     aligned[:, :factor] = stream.bits()[:n_out * factor].reshape(n_out, factor)
     blocks = np.packbits(aligned).reshape(n_out, n_bytes)
-    # partial[m, j]: block m dotted with phase j, summed byte by byte for
-    # 0/1 bits, then mapped to +-1 bits as 2*(0/1 sum) - (phase sum)
+    # partial[m, j]: block m, as +-1 bits, dotted with phase j byte by byte
     partial = table[0].take(blocks[:, 0], axis=0)
     for k in range(1, n_bytes):
         partial += table[k].take(blocks[:, k], axis=0)
-    partial *= 2.0
-    partial -= table[:, 255].sum(axis=0)
     cic = partial[:, 0].copy()
     for j in range(1, 4):
         cic[j:] += partial[:-j, j]

@@ -13,9 +13,10 @@ from few snapshots.
 
 A grid scan evaluates Re(d^H A d) for every steering column d, with
 A = R / L^2 for Bartlett and A = R_loaded^-1 (from the Cholesky factor)
-for MVDR: one (L, L) @ (L, M) product, then a sum over a float view of
-D and A D, so every column gets the same arithmetic whatever the
-evaluation order.
+for MVDR: an (L, L) @ (L, B) product per block of B = _COLUMN_BLOCK
+columns, then a sum over a float view of the block and its product, so
+every column gets the same arithmetic whatever the block or evaluation
+order, and a scan holds the steering matrix plus one block.
 
 The scan steering matrix depends only on the geometry's content (its
 ``geometry_fingerprint``), the grid, the frequency and c, not on R, so
@@ -36,7 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NoPeakError, SingularMatrixError
-from .geometry import (ArrayGeometry, Direction, geometry_fingerprint,
+from .geometry import (_COLUMN_BLOCK, ArrayGeometry, Direction, geometry_fingerprint,
                        steering_matrix)
 from .signalmodel import PointSource, covariance_analytic
 
@@ -169,11 +170,18 @@ def _quadratic_form(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     Viewed as floats, the rows of D and A D interleave real and imaginary
     parts, so summing their products down each float column gives
     Re(d)*Re(Ad) and Im(d)*Im(Ad) in alternate entries, whose pairwise
-    sums are Re(d^H A d).
+    sums are Re(d^H A d).  The columns go _COLUMN_BLOCK at a time into
+    the preallocated result, so A D never exists whole; each column's
+    dot products, and so its bits, are those of the unblocked product.
     """
     D = np.ascontiguousarray(D, dtype=complex)
-    s = np.einsum("lj,lj->j", D.view(float), (A @ D).view(float))
-    return s[0::2] + s[1::2]
+    out = np.empty(D.shape[1])
+    for start in range(0, D.shape[1], _COLUMN_BLOCK):
+        cols = slice(start, start + _COLUMN_BLOCK)
+        d = D[:, cols]
+        s = np.einsum("lj,lj->j", d.view(float), (A @ d).view(float))
+        np.add(s[0::2], s[1::2], out=out[cols])
+    return out
 
 
 # One entry: (geometry fingerprint, grid, frequency, c) -> read-only (L, M)
@@ -315,7 +323,11 @@ def doa_peaks(pmap: PowerMap, max_peaks: int = 1, min_separation_deg: float = 0.
 # -- exports -----------------------------------------------------------------
 
 
-_CSV_BLOCK_CELLS = 16384  # grid nodes per write in save_power_map_csv; bounds its temporaries
+# Grid nodes per write in save_power_map_csv.  Its temporaries, some 250 B
+# a node, stay within the heap glibc keeps after freeing a _COLUMN_BLOCK
+# product (see geometry); at 16384 nodes they took 4.2 MB and were faulted
+# in again on every call.
+_CSV_BLOCK_CELLS = 8192
 _WORD = np.dtype("<u8")  # up to 8 ASCII bytes of a field, the first in the low byte
 
 

@@ -25,6 +25,15 @@ SPEED_OF_SOUND_MPS = 343.0  # dry air at 20 C; overridable everywhere it appears
 DEFAULT_ELEMENT_COUNT = 16
 DEFAULT_DIAMETER_M = 0.030
 
+# Steering columns per block in steering_matrix and in the beamformers'
+# quadratic form: their temporaries stay one block, 2 MB of complex
+# entries at L = 16, whatever the grid.  glibc keeps up to twice the
+# largest mmapped block a process has freed at the top of its heap and
+# gives back the rest, so a smaller block costs page faults: at 4096
+# columns a perfbench psf_sweep op faulted some 420 pages in again, at
+# 8192 none (2-vCPU x86-64 host).
+_COLUMN_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class Direction:
@@ -111,15 +120,27 @@ def steering_matrix(geometry: ArrayGeometry, azimuth_deg, elevation_deg,
 
     ``azimuth_deg`` and ``elevation_deg`` are broadcast against each other
     and flattened; the result has shape (L, M) with one column per
-    direction, entries exp(+j*2*pi*f*(p.u)/c).
+    direction, entries exp(+j*2*pi*f*(p.u)/c).  The columns are filled
+    _COLUMN_BLOCK at a time, the exponential taken in place, so the peak
+    memory is the result, the flattened directions and one block's
+    temporaries; each entry has the bits of ``np.exp(1j * phase)`` over
+    all columns at once.
     """
     if not frequency_hz > 0:
         raise ValueError("frequency_hz must be > 0")
     if not c_mps > 0:
         raise ValueError("c_mps must be > 0")
-    u = unit_vectors(azimuth_deg, elevation_deg).reshape(-1, 3)
-    phase = (2.0 * np.pi * frequency_hz / c_mps) * (geometry.elements @ u.T)
-    return np.exp(1j * phase)
+    az, el = np.broadcast_arrays(np.asarray(azimuth_deg, dtype=float),
+                                 np.asarray(elevation_deg, dtype=float))
+    az, el = az.ravel(), el.ravel()
+    wavenumber = 2.0 * np.pi * frequency_hz / c_mps
+    D = np.empty((geometry.n_elements, az.size), dtype=complex)
+    for start in range(0, az.size, _COLUMN_BLOCK):
+        cols = slice(start, start + _COLUMN_BLOCK)
+        phase = wavenumber * (geometry.elements @ unit_vectors(az[cols], el[cols]).T)
+        np.multiply(phase, 1j, out=D[:, cols])
+        np.exp(D[:, cols], out=D[:, cols])
+    return D
 
 
 def load_geometry_csv(path) -> ArrayGeometry:

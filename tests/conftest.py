@@ -1,5 +1,6 @@
 """The stock sensor every test module takes, resolved as the CLI resolves it."""
 
+import tracemalloc
 from typing import NamedTuple
 
 import pytest
@@ -23,3 +24,17 @@ def stock() -> Stock:
     cfg = Config({})
     sensor = cfg.sensor()
     return Stock(sensor, sensor.spec, cfg.grid())
+
+
+@pytest.fixture
+def traced_peak():
+    """``run(func, *args)`` calls ``func(*args)`` under tracemalloc and returns
+    its result and the peak bytes allocated during the call, the result
+    included: a count, not a timing, so a memory bound is deterministic."""
+    def run(func, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return func(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from sonarray.beamforming import (PowerMap, _ascii_fields, _f4_words,
                                   _format_tables, _g10_words, _local_maxima,
-                                  _scan_steering, doa_peaks, grid_powers, power_map,
-                                  psf, psf_metrics, save_power_map_csv,
-                                  save_power_map_pgm)
+                                  _quadratic_form, _scan_steering, doa_peaks,
+                                  grid_powers, power_map, psf, psf_metrics,
+                                  save_power_map_csv, save_power_map_pgm)
 from sonarray.errors import NoPeakError, SingularMatrixError
-from sonarray.geometry import (Direction, build_uniform_circular_array,
+from sonarray.geometry import (_COLUMN_BLOCK, Direction, build_uniform_circular_array,
                                steering_matrix)
 from sonarray.signalmodel import PointSource, covariance_analytic
 
@@ -284,6 +284,32 @@ class TestPowerMap:
             for bf, loading in (("bartlett", 0.0), ("mvdr", 0.0), ("mvdr", 1e-3)):
                 assert np.array_equal(grid_powers(R, layout, bf, loading),
                                       grid_powers(R, np.ascontiguousarray(layout), bf, loading))
+
+    # fewer nodes than one block, and a last block cut short
+    @pytest.mark.parametrize("n_nodes", [100, 2 * _COLUMN_BLOCK + 123])
+    def test_column_blocks_change_no_bit(self, stock, n_nodes):
+        s = stock.sensor
+        L = s.geometry.n_elements
+        rng = np.random.default_rng(n_nodes)
+        az, el = rng.uniform(-90.0, 90.0, (2, n_nodes))
+        D = steering_matrix(s.geometry, az, el, s.frequency_hz, s.c_mps)
+        X = rng.standard_normal((L, 2 * L)) + 1j * rng.standard_normal((L, 2 * L))
+        R = X @ X.conj().T / (2 * L)
+        inv_factor = np.linalg.inv(np.linalg.cholesky(R))
+        # the Bartlett and the MVDR matrix of grid_powers
+        for A in (R / (L * L), inv_factor.conj().T @ inv_factor):
+            unblocked = np.einsum("lj,lj->j", D.view(float), (A @ D).view(float))
+            assert np.array_equal(_quadratic_form(A, D), unblocked[0::2] + unblocked[1::2])
+
+    @pytest.mark.parametrize("bf", ["bartlett", "mvdr"])
+    def test_warm_scan_holds_a_fraction_of_the_steering_matrix(self, stock, traced_peak, bf):
+        s = stock.sensor
+        grid = dataclasses.replace(stock.grid, az_step_deg=0.5, el_step_deg=0.5)
+        R = single_source_covariance(s, Direction(20, -10))
+        D = _scan_steering(s.geometry, grid, s.frequency_hz, s.c_mps)  # warms the cache
+        pmap, peak = traced_peak(power_map, s.geometry, R, grid, s.frequency_hz, s.c_mps,
+                                 beamformer=bf)
+        assert peak - pmap.power.nbytes < D.nbytes / 4
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
     def test_power_map_rejects_non_finite_or_negative_power(self, bad):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonarray.geometry import (ArrayGeometry, Direction,
+from sonarray.geometry import (_COLUMN_BLOCK, ArrayGeometry, Direction,
                                build_uniform_circular_array,
                                default_circular_array, direction_unit_vector,
                                geometry_fingerprint, load_geometry_csv,
@@ -160,6 +160,24 @@ class TestSteeringVector:
         for col, (a, e) in enumerate(zip(az, el)):
             sv = look_vector(g, Direction(a, e), 40_000.0)
             assert np.max(np.abs(D[:, col] - sv)) <= 1e-12
+
+    # fewer nodes than one block, and a last block cut short
+    @pytest.mark.parametrize("n_nodes", [100, 2 * _COLUMN_BLOCK + 123])
+    def test_column_blocks_change_no_bit(self, n_nodes):
+        g = default_circular_array()
+        rng = np.random.default_rng(n_nodes)
+        az, el = rng.uniform(-90.0, 90.0, (2, n_nodes))
+        phase = (2.0 * np.pi * 40_000.0 / 343.0) * (g.elements @ unit_vectors(az, el).T)
+        assert np.array_equal(steering_matrix(g, az, el, 40_000.0, 343.0), np.exp(1j * phase))
+
+    def test_peak_memory_is_the_matrix_plus_a_block(self, traced_peak):
+        g = default_circular_array()
+        axis = np.arange(-90.0, 90.25, 0.5)
+        az, el = (a.ravel() for a in np.meshgrid(axis, axis))
+        D, peak = traced_peak(steering_matrix, g, az, el, 40_000.0, 343.0)
+        block_bytes = g.n_elements * _COLUMN_BLOCK * D.itemsize
+        assert D.shape[1] > 5 * _COLUMN_BLOCK
+        assert peak < D.nbytes + 2 * block_bytes
 
 
 class TestGeometryCsv:

@@ -154,6 +154,16 @@ class TestBackendEquivalence:
         with pytest.raises(ValueError):
             compiled(x, dither, 4.0, 8.0, out)
 
+    def test_pure_loop_reads_its_buffers_in_place(self, traced_peak):
+        # beyond its arguments the loop holds one byte per sample; a copy
+        # of x or dither as Python floats would hold 32 bytes per sample
+        n = 1 << 20
+        x = band_limited_signal(n)
+        dither = np.random.default_rng(2).uniform(-1e-3, 1e-3, n)
+        out = np.empty(n, dtype=np.uint8)
+        _, peak = traced_peak(pure.sigma_delta_bits, x, dither, SDM_CLIP1, SDM_CLIP2, out)
+        assert peak < 2 * n
+
     def test_dc_tracking(self):
         # ones-density of the selected backend tracks (x + 1) / 2
         for level, expected in ((0.0, 0.5), (0.5, 0.75), (-0.5, 0.25)):
