@@ -483,31 +483,21 @@ def main(argv=None) -> int:
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("psf", parents=[common],
-                   help="point-source response maps and lobe metrics")
-    sub.add_parser("scan", parents=[common],
-                   help="power maps of all sources at once, with their peaks")
-    sub.add_parser("chirp", parents=[common], help="emit the probe waveform")
-    sub.add_parser("simulate", parents=[common],
-                   help="frame stream of pings echoed by a reflector")
-    localize = sub.add_parser("localize", parents=[common],
-                              help="per-ping range and direction from a frame stream")
-    localize.add_argument("input", help="frame stream file, or - for stdin")
-    decode = sub.add_parser("decode", parents=[common],
-                            help="decode a frame stream into per-channel PDM")
-    decode.add_argument("input", help="frame stream file, or - for stdin")
+    for name, handler, help_text in (
+            ("psf", cmd_psf, "point-source response maps and lobe metrics"),
+            ("scan", cmd_scan, "power maps of all sources at once, with their peaks"),
+            ("chirp", cmd_chirp, "emit the probe waveform"),
+            ("simulate", cmd_simulate, "frame stream of pings echoed by a reflector"),
+            ("localize", cmd_localize, "per-ping range and direction from a frame stream"),
+            ("decode", cmd_decode, "decode a frame stream into per-channel PDM")):
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        command.set_defaults(handler=handler)
+        if handler in (cmd_localize, cmd_decode):
+            command.add_argument("input", help="frame stream file, or - for stdin")
 
     args = parser.parse_args(argv)
-    handlers = {
-        "psf": cmd_psf,
-        "scan": cmd_scan,
-        "chirp": cmd_chirp,
-        "simulate": cmd_simulate,
-        "localize": cmd_localize,
-        "decode": cmd_decode,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

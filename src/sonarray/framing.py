@@ -14,10 +14,13 @@ Wire layout (normative, little-endian):
                   channel_count * samples_per_channel / 8 bytes
     ...     4     CRC-32 (IEEE 802.3, reflected) over magic..payload
 
-The parser is incremental and resynchronizing: on a bad header or CRC it
-discards one byte and rescans for the magic, which guarantees recovery
-after any finite corrupted region.  Parse results are identical for any
-chunking of the same byte stream.
+The parser is incremental and resynchronizing, with one rule for every
+corruption kind: a bad magic, a bad header or a CRC mismatch counts one
+resync and discards the byte it was found at, and the scan that follows
+discards every byte up to the next magic.  So each byte the parser skips
+is counted discarded once, and recovery follows any finite corrupted
+region.  Parse results are identical for any chunking of the same byte
+stream.
 """
 
 from __future__ import annotations
@@ -67,13 +70,14 @@ class Frame:
     def channel_bits(self) -> np.ndarray:
         """Payload as a (channel_count, samples_per_channel) 0/1 array."""
         bits = np.unpackbits(np.frombuffer(self.payload, dtype=np.uint8))
-        return bits[:self.channel_count * self.samples_per_channel].reshape(
-            self.channel_count, self.samples_per_channel)
+        return bits.reshape(self.channel_count, self.samples_per_channel)
 
 
 @dataclass(frozen=True)
 class CorruptionEvent:
-    kind: str     # "bad_magic" | "bad_header" | "crc_mismatch"
+    kind: str     # "bad_magic": no magic where a frame should start;
+                  # "bad_header": a version, channel count or payload size no frame has;
+                  # "crc_mismatch": a whole frame whose CRC-32 does not match
     offset: int   # absolute byte offset in the stream where detected
 
 
@@ -104,82 +108,64 @@ class StreamParser:
     """
 
     def __init__(self):
-        self._buf = bytearray()
-        self._base = 0        # absolute offset of _buf[0]
-        self._pos = 0         # parse position within _buf
-        self._scanning = False
+        self._buf = bytearray()     # the bytes not yet parsed
+        self._base = 0              # absolute offset of _buf[0]
+        self._scanning = False      # looking for a magic
         self._last_sequence = None  # the highest sequence number seen
         self._missing = set()       # the numbers counted lost, < _REORDER_SPAN behind it
         self.stats = StreamStats()
 
     def feed(self, data: bytes) -> list:
-        self._buf += data
+        buf, stats = self._buf, self.stats
+        buf += data
         events = []
-        buf = self._buf
+        pos = 0
         while True:
             if self._scanning:
-                idx = buf.find(MAGIC, self._pos)
-                if idx >= 0:
-                    self.stats.bytes_discarded += idx - self._pos
-                    self._pos = idx
-                    self._scanning = False
+                start = buf.find(MAGIC, pos)
+                self._scanning = start < 0
+                if self._scanning:  # keep the longest suffix that could grow into a magic
+                    start = max(pos, len(buf) - len(MAGIC) + 1)
+                    while not MAGIC.startswith(buf[start:]):
+                        start += 1
+                stats.bytes_discarded += start - pos
+                pos = start
+            if len(buf) - pos < len(MAGIC):  # a scan that found no magic stops here
+                break
+            if buf[pos:pos + len(MAGIC)] != MAGIC:
+                kind = "bad_magic"
+            elif len(buf) - pos < HEADER_SIZE:
+                break
+            else:
+                (_, version, channel_count, _, sequence, timestamp,
+                 samples_per_channel) = _HEADER.unpack_from(buf, pos)
+                bits = channel_count * samples_per_channel
+                body_end = pos + HEADER_SIZE + bits // 8
+                if (version != 1 or channel_count < 1 or bits % 8 != 0
+                        or bits // 8 > MAX_PAYLOAD):
+                    kind = "bad_header"
+                elif len(buf) < body_end + CRC_SIZE:
+                    break
+                elif (zlib.crc32(memoryview(buf)[pos:body_end])
+                      != struct.unpack_from("<I", buf, body_end)[0]):
+                    kind = "crc_mismatch"
+                else:
+                    self._account_sequence(sequence)
+                    stats.frames_ok += 1
+                    events.append(Frame(
+                        sequence=sequence, timestamp_ticks=timestamp,
+                        samples_per_channel=samples_per_channel, channel_count=channel_count,
+                        payload=bytes(memoryview(buf)[pos + HEADER_SIZE:body_end])))
+                    pos = body_end + CRC_SIZE
                     continue
-                # keep any suffix that could grow into a magic
-                keep = 0
-                for k in (3, 2, 1):
-                    if len(buf) - self._pos >= k and buf[len(buf) - k:] == MAGIC[:k]:
-                        keep = k
-                        break
-                discard = len(buf) - self._pos - keep
-                self.stats.bytes_discarded += discard
-                self._pos = len(buf) - keep
-                break
-            if len(buf) - self._pos < 4:
-                break
-            if buf[self._pos:self._pos + 4] != MAGIC:
-                events.append(CorruptionEvent("bad_magic", self._base + self._pos))
-                self.stats.resyncs += 1
-                self._scanning = True
-                continue
-            if len(buf) - self._pos < HEADER_SIZE:
-                break
-            (_, version, channel_count, _, sequence, timestamp,
-             samples_per_channel) = _HEADER.unpack_from(buf, self._pos)
-            bits = channel_count * samples_per_channel
-            payload_len = bits // 8
-            if (version != 1 or channel_count < 1 or bits % 8 != 0
-                    or payload_len > MAX_PAYLOAD):
-                events.append(CorruptionEvent("bad_header", self._base + self._pos))
-                self._discard_one()
-                continue
-            total = HEADER_SIZE + payload_len + CRC_SIZE
-            if len(buf) - self._pos < total:
-                break
-            body_end = self._pos + HEADER_SIZE + payload_len
-            (crc,) = struct.unpack_from("<I", buf, body_end)
-            if zlib.crc32(bytes(buf[self._pos:body_end])) != crc:
-                events.append(CorruptionEvent("crc_mismatch", self._base + self._pos))
-                self._discard_one()
-                continue
-            payload = bytes(buf[self._pos + HEADER_SIZE:body_end])
-            frame = Frame(sequence=sequence, timestamp_ticks=timestamp,
-                          samples_per_channel=samples_per_channel,
-                          payload=payload, channel_count=channel_count)
-            self._account_sequence(sequence)
-            self.stats.frames_ok += 1
-            events.append(frame)
-            self._pos += total
-        if self._pos:
-            self._base += self._pos
-            del self._buf[:self._pos]
-            self._pos = 0
+            events.append(CorruptionEvent(kind, self._base + pos))
+            stats.resyncs += 1
+            stats.bytes_discarded += 1
+            pos += 1
+            self._scanning = True
+        self._base += pos
+        del buf[:pos]
         return events
-
-    def _discard_one(self):
-        self.stats.bytes_discarded += 1
-        self.stats.resyncs += 1
-        self._pos += 1
-        self._scanning = True
 
     def _account_sequence(self, sequence: int):
         """A frame ahead of the highest sequence number seen counts the

@@ -47,13 +47,14 @@ class Sensor:
     clock and decimation factor, and the ping rate.
 
     A ping window must end before the next ping; the PCM rate must exceed
-    twice the demodulation low-pass cutoff, DEMOD_CUTOFF_HZ; the sweep's
-    floor(duration * fs) samples, the count ``generate_chirp`` makes, must
-    be fewer than a window's; a window's ``window_bits`` PDM bits per
-    channel must split into whole frames; and a frame must carry every
-    element's bits in whole bytes, at most MAX_CHANNELS channels and
-    MAX_PAYLOAD bytes.  Only then is the probe, ``chirp``, sampled.  Each
-    ValueError names the field at fault first."""
+    twice the demodulation low-pass cutoff, DEMOD_CUTOFF_HZ, and be the
+    sweep's ``sample_rate_hz``; the sweep's floor(duration * fs) samples,
+    the count ``generate_chirp`` makes, must be fewer than a window's; a
+    window's ``window_bits`` PDM bits per channel must split into whole
+    frames; and a frame must carry every element's bits in whole bytes, at
+    most MAX_CHANNELS channels and MAX_PAYLOAD bytes.  Only then is the
+    probe, ``chirp``, sampled.  Each ValueError names the field at fault
+    first."""
 
     geometry: ArrayGeometry
     spec: waveform.ChirpSpec
@@ -74,6 +75,9 @@ class Sensor:
             raise ValueError(f"factor {self.factor} gives a {pcm_rate:g} Hz PCM rate, not above "
                              f"twice the {acquisition.DEMOD_CUTOFF_HZ:g} Hz cutoff of the "
                              f"demodulation low-pass")
+        if self.spec.sample_rate_hz != pcm_rate:
+            raise ValueError(f"factor {self.factor} gives a {pcm_rate:g} Hz PCM rate, not the "
+                             f"{self.spec.sample_rate_hz:g} Hz the sweep is sampled at")
         window = int(WINDOW_S * self.spec.sample_rate_hz)
         probe = math.floor(self.spec.duration_s * self.spec.sample_rate_hz)
         if probe >= window:

@@ -393,6 +393,19 @@ class TestPsfMetrics:
         ring = 20.0 * math.log10(abs(scipy.special.j0(j11)))  # -7.8991 dB
         assert abs(metrics.peak_sidelobe_db - ring) <= 0.01
 
+    def test_a_lobe_above_half_power_to_the_grid_edge_is_clamped_to_it(self, stock):
+        # on a grid 3 degrees either side of the source the Bartlett lobe,
+        # some 20 degrees wide, never falls to half power: each width is
+        # the grid's own span
+        s = stock.sensor
+        grid = dataclasses.replace(stock.grid, az_start_deg=27, az_stop_deg=33,
+                                   el_start_deg=-3, el_stop_deg=3)
+        pmap, metrics = psf(s.geometry, Direction(30, 0), 1.0, 0.01, grid, s.frequency_hz,
+                            s.c_mps, beamformer="bartlett")
+        assert pmap.power.min() > pmap.power.max() / 2
+        assert metrics.peak_direction == Direction(30.0, 0.0)
+        assert metrics.mainlobe_width_az_deg == metrics.mainlobe_width_el_deg == 6.0
+
     def test_mvdr_beats_bartlett_metrics(self, stock):
         s = stock.sensor
         grid = stock.grid

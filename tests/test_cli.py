@@ -459,6 +459,17 @@ class TestDecodeCommand:
         assert "frame 1 has 8 channels, earlier frames 16" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("decimate", ["false", "true"])
+    def test_a_stream_of_junk_only_writes_no_channel(self, tmp_path, capsys, decimate):
+        stream_path = tmp_path / "stream.bin"
+        stream_path.write_bytes(bytes(range(1, 200)))  # no magic anywhere
+        out = tmp_path / "out"
+        assert run(["decode", str(stream_path), "--out", str(out),
+                    "--set", f"decode.decimate={decimate}"]) == 0
+        assert capsys.readouterr().out == (
+            "frames_ok=0 frames_lost=0 resyncs=1 bytes_discarded=199 bad_magic=1\n")
+        assert list(out.glob("ch*")) == []
+
     def test_stream_shorter_than_one_decimation_step_writes_nothing(self, tmp_path, capsys):
         stream_path = tmp_path / "stream.bin"
         stream_path.write_bytes(make_stream(1, spc=8))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sonarray import pipeline
 from sonarray.framing import (CRC_SIZE, HEADER_SIZE, MAGIC, MAX_PAYLOAD,
                               CorruptionEvent, Frame, StreamParser,
                               encode_frame, parse_stream)
@@ -225,3 +226,165 @@ class TestCrcStrength:
             events, stats = parse_stream(bytes(flipped))
             assert stats.frames_ok == 0, f"bit {bit} slipped through"
             assert all(not isinstance(e, Frame) for e in events)
+
+
+class ReferenceParser(StreamParser):
+    """The parser before its three failure tails became one, kept as the
+    oracle of ``StreamParser.feed``: a bad magic is rescanned from its own
+    byte, and a bad header or a CRC mismatch goes through ``_discard_one``."""
+
+    def __init__(self):
+        super().__init__()
+        self._pos = 0  # parse position within _buf
+
+    def feed(self, data: bytes) -> list:
+        self._buf += data
+        events = []
+        buf = self._buf
+        while True:
+            if self._scanning:
+                idx = buf.find(MAGIC, self._pos)
+                if idx >= 0:
+                    self.stats.bytes_discarded += idx - self._pos
+                    self._pos = idx
+                    self._scanning = False
+                    continue
+                # keep any suffix that could grow into a magic
+                keep = 0
+                for k in (3, 2, 1):
+                    if len(buf) - self._pos >= k and buf[len(buf) - k:] == MAGIC[:k]:
+                        keep = k
+                        break
+                discard = len(buf) - self._pos - keep
+                self.stats.bytes_discarded += discard
+                self._pos = len(buf) - keep
+                break
+            if len(buf) - self._pos < 4:
+                break
+            if buf[self._pos:self._pos + 4] != MAGIC:
+                events.append(CorruptionEvent("bad_magic", self._base + self._pos))
+                self.stats.resyncs += 1
+                self._scanning = True
+                continue
+            if len(buf) - self._pos < HEADER_SIZE:
+                break
+            (_, version, channel_count, _, sequence, timestamp,
+             samples_per_channel) = struct.unpack_from("<4sBBHIQI", buf, self._pos)
+            bits = channel_count * samples_per_channel
+            payload_len = bits // 8
+            if (version != 1 or channel_count < 1 or bits % 8 != 0
+                    or payload_len > MAX_PAYLOAD):
+                events.append(CorruptionEvent("bad_header", self._base + self._pos))
+                self._discard_one()
+                continue
+            total = HEADER_SIZE + payload_len + CRC_SIZE
+            if len(buf) - self._pos < total:
+                break
+            body_end = self._pos + HEADER_SIZE + payload_len
+            (crc,) = struct.unpack_from("<I", buf, body_end)
+            if zlib.crc32(bytes(buf[self._pos:body_end])) != crc:
+                events.append(CorruptionEvent("crc_mismatch", self._base + self._pos))
+                self._discard_one()
+                continue
+            payload = bytes(buf[self._pos + HEADER_SIZE:body_end])
+            frame = Frame(sequence=sequence, timestamp_ticks=timestamp,
+                          samples_per_channel=samples_per_channel,
+                          payload=payload, channel_count=channel_count)
+            self._account_sequence(sequence)
+            self.stats.frames_ok += 1
+            events.append(frame)
+            self._pos += total
+        if self._pos:
+            self._base += self._pos
+            del self._buf[:self._pos]
+            self._pos = 0
+        return events
+
+    def _discard_one(self):
+        self.stats.bytes_discarded += 1
+        self.stats.resyncs += 1
+        self._pos += 1
+        self._scanning = True
+
+
+def _corrupted(blob: bytes, index: int, value: int) -> bytes:
+    out = bytearray(blob)
+    out[index] = value
+    return bytes(out)
+
+
+# One piece of a stream: a clean frame, junk rich in magic bytes, a frame
+# with a flipped CRC byte or a bad version, a truncated magic, or a frame
+# cut short.
+_piece = st.one_of(
+    frames_strategy.map(encode_frame),
+    st.lists(st.sampled_from([*MAGIC, 0x00, 0xFF]), max_size=12).map(bytes),
+    st.binary(min_size=1, max_size=40),
+    st.tuples(frames_strategy.map(encode_frame), st.integers(1, 4), st.integers(1, 255)).map(
+        lambda t: _corrupted(t[0], len(t[0]) - t[1], t[0][-t[1]] ^ t[2])),
+    st.tuples(frames_strategy.map(encode_frame), st.integers(2, 255)).map(
+        lambda t: _corrupted(t[0], 4, t[1])),
+    st.integers(1, len(MAGIC) - 1).map(lambda k: MAGIC[:k]),
+    st.tuples(frames_strategy.map(encode_frame), st.integers(1, 60)).map(
+        lambda t: t[0][:-t[1]]),
+)
+
+
+class TestReferenceEquivalence:
+    @given(pieces=st.lists(_piece, max_size=10),
+           cuts=st.lists(st.integers(min_value=0, max_value=4000), max_size=10))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_feed_gives_the_reference_events_and_stats_for_every_chunking(self, pieces,
+                                                                           cuts):
+        blob = b"".join(pieces)
+        parser, reference = StreamParser(), ReferenceParser()
+        prev = 0
+        for pos in sorted({min(c, len(blob)) for c in cuts}) + [len(blob)]:
+            assert parser.feed(blob[prev:pos]) == reference.feed(blob[prev:pos])
+            assert parser.stats == reference.stats
+            prev = pos
+
+    def test_each_corruption_kind_counts_one_resync_and_its_own_bytes(self):
+        # junk with a truncated magic after a frame, then a flipped CRC byte
+        # and a bad version: each kind once, at the offset it was found at
+        good = encode_frame(make_frame(seq=1))
+        junk = b"\x00" + MAGIC[:3]
+        crc = _corrupted(good, len(good) - 1, good[-1] ^ 1)
+        version = _corrupted(good, 4, 2)
+        blob = good + junk + crc + version + good
+        events, stats = parse_stream(blob)
+        reference = ReferenceParser()
+        assert events == reference.feed(blob) and stats == reference.stats
+        n = len(good)
+        assert [(e.kind, e.offset) for e in events if isinstance(e, CorruptionEvent)] == [
+            ("bad_magic", n), ("crc_mismatch", n + 4), ("bad_header", 2 * n + 4)]
+        assert (stats.frames_ok, stats.resyncs, stats.bytes_discarded) == (2, 3, 2 * n + 4)
+
+
+class TestBoundedMemory:
+    def test_the_buffer_does_not_grow_with_the_stream(self, stock, traced_peak):
+        # stock frames fed in 64 KiB chunks, the events dropped: the peak
+        # holds a chunk, a partial frame and a chunk's frames, not the
+        # stream.  The partial frame a chunk leaves depends on where the
+        # chunk cuts a frame, and 512 frames meet cuts 64 do not, so the
+        # bound allows one frame more; 448 more frames would add 12.5 MB.
+        payloads = [bytes(16 * 13906 // 8)] * pipeline.FRAMES_PER_WINDOW
+
+        def stream(n_frames):
+            return b"".join(encode_frame(frame)
+                            for ping in range(n_frames // pipeline.FRAMES_PER_WINDOW)
+                            for frame in pipeline.frame_window(stock.sensor, payloads, ping))
+
+        def feed_all(blob):
+            parser = StreamParser()
+            view = memoryview(blob)
+            for i in range(0, len(blob), 65536):
+                parser.feed(view[i:i + 65536])
+            return parser.stats
+
+        peaks = {}
+        for n_frames in (64, 512):
+            stats, peaks[n_frames] = traced_peak(feed_all, stream(n_frames))
+            assert (stats.frames_ok, stats.frames_lost, stats.resyncs,
+                    stats.bytes_discarded) == (n_frames, 0, 0, 0)
+        assert peaks[512] <= peaks[64] + HEADER_SIZE + len(payloads[0]) + CRC_SIZE

@@ -333,3 +333,16 @@ def test_no_two_channels_of_a_stream_share_a_seed(stock, tmp_path, monkeypatch):
     assert len(set(noise72)) == len(noise72) == 3 * 72
     assert len(set(dither72)) == len(dither72) == 3 * 72
     assert seeds(stock.sensor) == ([5 + 64 * p + l for p in range(3) for l in range(16)],) * 2
+
+
+def test_a_sweep_sampled_off_the_pcm_rate_is_refused(stock):
+    # at half the PCM rate the probe would build a 111 248-bit window that
+    # acquire_window and localize_window refuse only later, for other reasons
+    sensor = stock.sensor
+    fields = {f.name: getattr(sensor, f.name) for f in dataclasses.fields(sensor) if f.init}
+    fields["spec"] = dataclasses.replace(sensor.spec, sample_rate_hz=sensor.spec.sample_rate_hz / 2)
+    rule = "16 gives a 278125 Hz PCM rate, not the 139062 Hz the sweep is sampled at"
+    with pytest.raises(ValueError, match=f"^factor {rule}$"):
+        pipeline.Sensor(**fields)
+    with pytest.raises(cli.ConfigError, match=f"^decode.factor: {rule}$"):
+        cli._build(pipeline.Sensor, **fields)
