@@ -12,7 +12,6 @@ error or a failed allocation.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import dataclasses
 import math
@@ -269,8 +268,8 @@ def _out_dir(args) -> Path:
 
 class _FrameReader:
     """Frames of a stream file, or of stdin for "-", parsed from CHUNK_BYTES
-    reads, with the parser's counters and corruption kinds; the input opens
-    here, so an unreadable one exits 2 before any output exists."""
+    reads, with the parser's counters; the input opens here, so an
+    unreadable one exits 2 before any output exists."""
 
     def __init__(self, path: str):
         if path == "-":
@@ -281,20 +280,18 @@ class _FrameReader:
             except OSError as exc:
                 raise ConfigError("input", f"cannot read: {exc}") from None
         self.parser = framing.StreamParser()
-        self.corruption = collections.Counter()
 
     def __iter__(self):
         with self.source as stream:
             while chunk := stream.read(CHUNK_BYTES):
-                for event in self.parser.feed(chunk):
-                    if isinstance(event, framing.Frame):
-                        yield event
-                    else:
-                        self.corruption[event.kind] += 1
+                yield from self.parser.feed(chunk)
+        self.parser.finish()
 
     def summary(self) -> str:
-        counts = dataclasses.asdict(self.parser.stats) | dict(sorted(self.corruption.items()))
-        return " ".join(f"{name}={count}" for name, count in counts.items())
+        """The four base counters, then each other counter that is not 0."""
+        counts = dataclasses.asdict(self.parser.stats).items()
+        return " ".join(f"{name}={count}" for i, (name, count) in enumerate(counts)
+                        if i < 4 or count)
 
 
 def _write_metrics(path, metrics: beamforming.PsfMetrics) -> None:

@@ -16,11 +16,13 @@ Wire layout (normative, little-endian):
 
 The parser is incremental and resynchronizing, with one rule for every
 corruption kind: a bad magic, a bad header or a CRC mismatch counts one
-resync and discards the byte it was found at, and the scan that follows
-discards every byte up to the next magic.  So each byte the parser skips
-is counted discarded once, and recovery follows any finite corrupted
-region.  Parse results are identical for any chunking of the same byte
-stream.
+resync and one of its kind in StreamStats, whose ``resyncs`` is their
+sum, and discards the byte it was found at; the scan that follows
+discards every byte up to the next magic, and ``StreamParser.finish``
+the bytes held when the stream ends (``truncated``).  So each byte the
+parser skips is counted discarded once, a stream of frames is its
+frames' bytes plus ``bytes_discarded``, and recovery follows any finite
+corrupted region.  Parse results are identical for any chunking.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ HEADER_SIZE = _HEADER.size  # 24
 CRC_SIZE = 4
 MAX_PAYLOAD = 1 << 20
 MAX_CHANNELS = 0xFF  # channel_count is one header byte
-_SEQ_MOD = 1 << 32
-_SEQ_WINDOW = 1 << 31
+SEQ_MOD = 1 << 32     # sequence numbers wrap here
+SEQ_WINDOW = 1 << 31  # a number less than this far ahead, mod SEQ_MOD, is ahead
 _REORDER_SPAN = 1024  # how far behind the highest sequence number a late frame is recognized
 
 
@@ -51,13 +53,13 @@ class Frame:
     channel_count: int
 
     def __post_init__(self):
-        if not 0 <= self.sequence < _SEQ_MOD:
+        if not 0 <= self.sequence < SEQ_MOD:
             raise ValueError("sequence must fit in 32 bits")
         if not 0 <= self.timestamp_ticks < 1 << 64:
             raise ValueError("timestamp_ticks must fit in 64 bits")
         if not 1 <= self.channel_count <= MAX_CHANNELS:
             raise ValueError(f"channel_count must lie in 1..{MAX_CHANNELS}")
-        if not 0 <= self.samples_per_channel < _SEQ_MOD:
+        if not 0 <= self.samples_per_channel < 1 << 32:
             raise ValueError("samples_per_channel must fit in 32 bits")
         bits = self.channel_count * self.samples_per_channel
         if bits % 8 != 0:
@@ -73,20 +75,16 @@ class Frame:
         return bits.reshape(self.channel_count, self.samples_per_channel)
 
 
-@dataclass(frozen=True)
-class CorruptionEvent:
-    kind: str     # "bad_magic": no magic where a frame should start;
-                  # "bad_header": a version, channel count or payload size no frame has;
-                  # "crc_mismatch": a whole frame whose CRC-32 does not match
-    offset: int   # absolute byte offset in the stream where detected
-
-
 @dataclass
 class StreamStats:
     frames_ok: int = 0
     frames_lost: int = 0
-    resyncs: int = 0
+    resyncs: int = 0          # bad_header + bad_magic + crc_mismatch
     bytes_discarded: int = 0
+    bad_header: int = 0       # a version, channel count or payload size no frame has
+    bad_magic: int = 0        # no magic where a frame should start
+    crc_mismatch: int = 0     # a whole frame whose CRC-32 does not match
+    truncated: int = 0        # a stream that ended with bytes held, not a resync
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -99,8 +97,8 @@ def encode_frame(frame: Frame) -> bytes:
 class StreamParser:
     """Single-consumer incremental parser with resync and loss accounting.
 
-    Feed arbitrary byte chunks; each call returns the Frames and
-    CorruptionEvents completed by those bytes.  ``stats.frames_lost``
+    Feed arbitrary byte chunks; each call returns the Frames completed by
+    those bytes, and :meth:`finish` ends the stream.  ``stats.frames_lost``
     counts the sequence numbers that never arrived; to take a late frame
     back off it, the parser holds the numbers counted lost within
     _REORDER_SPAN of the highest seen, at most 1023.  Not safe for
@@ -109,7 +107,6 @@ class StreamParser:
 
     def __init__(self):
         self._buf = bytearray()     # the bytes not yet parsed
-        self._base = 0              # absolute offset of _buf[0]
         self._scanning = False      # looking for a magic
         self._last_sequence = None  # the highest sequence number seen
         self._missing = set()       # the numbers counted lost, < _REORDER_SPAN behind it
@@ -118,7 +115,7 @@ class StreamParser:
     def feed(self, data: bytes) -> list:
         buf, stats = self._buf, self.stats
         buf += data
-        events = []
+        frames = []
         pos = 0
         while True:
             if self._scanning:
@@ -152,20 +149,27 @@ class StreamParser:
                 else:
                     self._account_sequence(sequence)
                     stats.frames_ok += 1
-                    events.append(Frame(
+                    frames.append(Frame(
                         sequence=sequence, timestamp_ticks=timestamp,
                         samples_per_channel=samples_per_channel, channel_count=channel_count,
                         payload=bytes(memoryview(buf)[pos + HEADER_SIZE:body_end])))
                     pos = body_end + CRC_SIZE
                     continue
-            events.append(CorruptionEvent(kind, self._base + pos))
+            setattr(stats, kind, getattr(stats, kind) + 1)
             stats.resyncs += 1
             stats.bytes_discarded += 1
             pos += 1
             self._scanning = True
-        self._base += pos
         del buf[:pos]
-        return events
+        return frames
+
+    def finish(self):
+        """End the stream: the bytes still held, a cut-off frame or a
+        partial magic, are discarded and counted ``truncated``."""
+        if self._buf:
+            self.stats.bytes_discarded += len(self._buf)
+            self.stats.truncated += 1
+            self._buf.clear()
 
     def _account_sequence(self, sequence: int):
         """A frame ahead of the highest sequence number seen counts the
@@ -176,13 +180,13 @@ class StreamParser:
         if self._last_sequence is None:
             self._last_sequence = sequence
             return
-        ahead = (sequence - self._last_sequence) % _SEQ_MOD
-        if 0 < ahead < _SEQ_WINDOW:
+        ahead = (sequence - self._last_sequence) % SEQ_MOD
+        if 0 < ahead < SEQ_WINDOW:
             if ahead > 1:
                 self.stats.frames_lost += ahead - 1
                 self._missing = {seq for seq in self._missing
-                                 if (sequence - seq) % _SEQ_MOD < _REORDER_SPAN}
-                self._missing.update((sequence - k) % _SEQ_MOD
+                                 if (sequence - seq) % SEQ_MOD < _REORDER_SPAN}
+                self._missing.update((sequence - k) % SEQ_MOD
                                      for k in range(1, min(ahead, _REORDER_SPAN)))
             self._last_sequence = sequence
         elif sequence in self._missing:
@@ -191,10 +195,8 @@ class StreamParser:
 
 
 def parse_stream(data: bytes) -> tuple:
-    """Parse a complete byte string.
-
-    Returns (events, stats) where events interleaves Frames and
-    CorruptionEvents in arrival order.
-    """
+    """(frames, stats) of a complete byte string, frames in arrival order."""
     parser = StreamParser()
-    return parser.feed(data), parser.stats
+    frames = parser.feed(data)
+    parser.finish()
+    return frames, parser.stats

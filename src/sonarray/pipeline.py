@@ -146,7 +146,7 @@ def frame_window(sensor: Sensor, payloads: list, ping: int) -> list:
     bits per channel per frame."""
     channels = sensor.geometry.n_elements
     spc = sensor.window_bits // FRAMES_PER_WINDOW
-    return [framing.Frame(sequence=(ping * FRAMES_PER_WINDOW + f) % (1 << 32),
+    return [framing.Frame(sequence=(ping * FRAMES_PER_WINDOW + f) % framing.SEQ_MOD,
                           timestamp_ticks=ping * sensor.ping_ticks + f * spc,
                           samples_per_channel=spc, payload=payload,
                           channel_count=channels)
@@ -171,8 +171,8 @@ def pings(sensor: Sensor, frames) -> Iterator:
     ping, window, highest = None, [], 0
     for frame in frames:
         at = frame.timestamp_ticks // sensor.ping_ticks
-        ahead = (frame.sequence - highest) % (1 << 32)
-        if ping is not None and at > ping and not at - ping <= ahead < 1 << 31:
+        ahead = (frame.sequence - highest) % framing.SEQ_MOD
+        if ping is not None and at > ping and not at - ping <= ahead < framing.SEQ_WINDOW:
             yield frame
             continue
         if at != ping:
@@ -183,7 +183,7 @@ def pings(sensor: Sensor, frames) -> Iterator:
                 for missing in range(ping + 1, at):
                     yield missing, []
             ping, window = at, []
-        if not window or 0 < ahead < 1 << 31:
+        if not window or 0 < ahead < framing.SEQ_WINDOW:
             highest = frame.sequence
         window.append(frame)
     if ping is not None:

@@ -10,7 +10,7 @@ import pytest
 from sonarray import acquisition, cli, pipeline, waveform
 from sonarray.beamforming import GridSpec, power_map, psf, save_power_map_csv
 from sonarray.cli import DEFAULTS, Config, main
-from sonarray.framing import Frame, encode_frame, parse_stream
+from sonarray.framing import MAGIC, Frame, encode_frame, parse_stream
 from sonarray.geometry import Direction, default_circular_array, geometry_fingerprint
 from sonarray.signalmodel import PointSource, covariance_analytic
 from sonarray.waveform import ChirpSpec
@@ -470,6 +470,28 @@ class TestDecodeCommand:
             "frames_ok=0 frames_lost=0 resyncs=1 bytes_discarded=199 bad_magic=1\n")
         assert list(out.glob("ch*")) == []
 
+    @pytest.mark.parametrize("command", ["decode", "localize"])
+    @pytest.mark.parametrize("tail, summary", [
+        ("cut", "frames_ok=31 frames_lost=0 resyncs=0 bytes_discarded=26840 truncated=1"),
+        ("magic", "frames_ok=32 frames_lost=0 resyncs=0 bytes_discarded=3 truncated=1"),
+    ], ids=["cut", "magic"])
+    def test_the_bytes_a_stream_ends_with_are_counted(self, stock, tmp_path, capsys,
+                                                      command, tail, summary):
+        # two stock pings of 27 840-byte frames, the last frame cut 1000
+        # bytes short, or followed by a magic that never completes
+        payloads = [bytes(16 * 13906 // 8)] * pipeline.FRAMES_PER_WINDOW
+        blob = b"".join(encode_frame(frame) for ping in range(2)
+                        for frame in pipeline.frame_window(stock.sensor, payloads, ping))
+        blob = blob[:-1000] if tail == "cut" else blob + MAGIC[:3]
+        stream_path = tmp_path / "stream.bin"
+        stream_path.write_bytes(blob)
+        assert run([command, str(stream_path), "--out", str(tmp_path / "out")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == summary
+        counts = {name: int(count) for name, count in
+                  (item.split("=") for item in line.split())}
+        assert 27840 * counts["frames_ok"] + counts["bytes_discarded"] == len(blob)
+
     def test_stream_shorter_than_one_decimation_step_writes_nothing(self, tmp_path, capsys):
         stream_path = tmp_path / "stream.bin"
         stream_path.write_bytes(make_stream(1, spc=8))
@@ -561,6 +583,13 @@ class TestBadConfigValues:
         pytest.param("chirp", "decode.factor", str(10 ** 309), id="factor-above-any-float"),
         ("decode", "decode.factor", "100000000"),  # a PCM rate below 1 Hz
         ("localize", "grid.az_step", "0"),
+        ("psf", "c_mps", "abc"),
+        ("simulate", "seed", "1.5"),
+        ("simulate", "seed", "-1"),
+        ("decode", "decode.decimate", "maybe"),
+        ("decode", "decode.factor", "x"),
+        ("chirp", "chirp.window", "kaiser"),
+        ("psf", "psf.beamformers", "capon"),
     ])
     def test_exits_2_naming_the_key_before_any_output(self, tmp_path, capsys,
                                                        command, key, value):
@@ -577,6 +606,13 @@ class TestBadConfigValues:
         assert key in err
         assert err.count(key.rpartition(".")[2]) == 1
         assert list(out.glob("*")) == []
+
+    def test_a_set_without_a_value_exits_2_naming_it_once(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["psf", "--out", str(out), "--set", "grid.az_step"]) == 2
+        assert capsys.readouterr().err == (
+            "psf: --set: expected key=value, got 'grid.az_step'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["psf", "localize"])
     @pytest.mark.parametrize("axis", ["az", "el"])

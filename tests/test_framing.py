@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import struct
 import zlib
 
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from sonarray import pipeline
 from sonarray.framing import (CRC_SIZE, HEADER_SIZE, MAGIC, MAX_PAYLOAD,
-                              CorruptionEvent, Frame, StreamParser,
-                              encode_frame, parse_stream)
+                              Frame, StreamParser, StreamStats, encode_frame,
+                              parse_stream)
 
 
 def make_frame(seq=0, spc=8, cc=1, ts=0, fill=0x00):
@@ -52,6 +54,21 @@ class TestEncode:
         with pytest.raises(ValueError):
             Frame(sequence=0, timestamp_ticks=0, samples_per_channel=spc,
                   payload=bytes(spc // 8), channel_count=1)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"sequence": 2 ** 32}, "sequence must fit in 32 bits"),
+        ({"timestamp_ticks": 2 ** 64}, "timestamp_ticks must fit in 64 bits"),
+        ({"channel_count": 0}, "channel_count must lie in 1..255"),
+        ({"channel_count": 256}, "channel_count must lie in 1..255"),
+        ({"samples_per_channel": 2 ** 32}, "samples_per_channel must fit in 32 bits"),
+        ({"samples_per_channel": 9}, "channel_count * samples_per_channel must be a "
+                                     "multiple of 8"),
+    ], ids=["sequence", "timestamp", "no-channel", "256-channels", "samples", "bits"])
+    def test_a_field_out_of_range_is_refused(self, fields, message):
+        frame = dict(sequence=0, timestamp_ticks=0, samples_per_channel=8,
+                     payload=b"\x00", channel_count=1) | fields
+        with pytest.raises(ValueError, match=message.replace("*", r"\*")):
+            Frame(**frame)
 
     def test_channel_bits_layout(self):
         frame = Frame(sequence=0, timestamp_ticks=0, samples_per_channel=8,
@@ -131,8 +148,7 @@ class TestResync:
     def test_garbage_between_frames(self):
         f1, f2 = make_frame(seq=0), make_frame(seq=1)
         stream = encode_frame(f1) + b"\x01\x02\x03" + encode_frame(f2)
-        events, stats = parse_stream(stream)
-        frames = [e for e in events if isinstance(e, Frame)]
+        frames, stats = parse_stream(stream)
         assert frames == [f1, f2]
         assert stats.bytes_discarded == 3
         assert stats.resyncs >= 1
@@ -142,11 +158,9 @@ class TestResync:
         frames = [make_frame(seq=s, spc=64, fill=0x5C) for s in range(5)]
         blobs = [bytearray(encode_frame(f)) for f in frames]
         blobs[2][HEADER_SIZE + 3] ^= 0x10  # payload corruption
-        events, stats = parse_stream(b"".join(bytes(b) for b in blobs))
-        got = [e for e in events if isinstance(e, Frame)]
+        got, stats = parse_stream(b"".join(bytes(b) for b in blobs))
         assert [f.sequence for f in got] == [0, 1, 3, 4]
-        kinds = [e.kind for e in events if isinstance(e, CorruptionEvent)]
-        assert "crc_mismatch" in kinds
+        assert stats.crc_mismatch == 1
         assert stats.frames_ok == 4
         assert stats.frames_lost == 1
         assert stats.bytes_discarded == len(blobs[2])
@@ -154,8 +168,7 @@ class TestResync:
     def test_corrupt_prefix_then_recovery(self):
         prefix = bytes(range(1, 200))  # no magic inside
         f1, f2 = make_frame(seq=4), make_frame(seq=5)
-        events, stats = parse_stream(prefix + encode_frame(f1) + encode_frame(f2))
-        frames = [e for e in events if isinstance(e, Frame)]
+        frames, stats = parse_stream(prefix + encode_frame(f1) + encode_frame(f2))
         assert frames == [f1, f2]
         assert stats.bytes_discarded == len(prefix)
 
@@ -163,17 +176,16 @@ class TestResync:
         f = make_frame(seq=3)
         stream = b"\x00" * 5 + encode_frame(f)
         parser = StreamParser()
-        events = []
+        frames = []
         for i in range(0, len(stream), 1):  # worst case: 1 byte at a time
-            events.extend(parser.feed(stream[i:i + 1]))
-        assert [e for e in events if isinstance(e, Frame)] == [f]
+            frames.extend(parser.feed(stream[i:i + 1]))
+        assert frames == [f]
 
     def test_bad_version_triggers_resync(self):
         blob = bytearray(encode_frame(make_frame(seq=0)))
         blob[4] = 2  # version byte
-        events, stats = parse_stream(bytes(blob) + encode_frame(make_frame(seq=1)))
-        kinds = [e.kind for e in events if isinstance(e, CorruptionEvent)]
-        assert "bad_header" in kinds
+        _, stats = parse_stream(bytes(blob) + encode_frame(make_frame(seq=1)))
+        assert stats.bad_header == 1
         assert stats.frames_ok == 1
 
 
@@ -201,6 +213,7 @@ class TestChunkingInvariance:
         for pos in positions + [len(blob)]:
             events.extend(parser.feed(blob[prev:pos]))
             prev = pos
+        parser.finish()
         assert events == reference_events
         assert parser.stats == reference_stats
 
@@ -223,23 +236,25 @@ class TestCrcStrength:
         for bit in range(len(blob) * 8):
             flipped = bytearray(blob)
             flipped[bit // 8] ^= 1 << (bit % 8)
-            events, stats = parse_stream(bytes(flipped))
+            frames, stats = parse_stream(bytes(flipped))
             assert stats.frames_ok == 0, f"bit {bit} slipped through"
-            assert all(not isinstance(e, Frame) for e in events)
+            assert frames == []
 
 
 class ReferenceParser(StreamParser):
     """The parser before its three failure tails became one, kept as the
     oracle of ``StreamParser.feed``: a bad magic is rescanned from its own
-    byte, and a bad header or a CRC mismatch goes through ``_discard_one``."""
+    byte, and a bad header or a CRC mismatch goes through ``_discard_one``.
+    ``feed`` returns the frames and the kind of each resync, in arrival
+    order; its ``stats`` count no kind, so a caller tallies them."""
 
     def __init__(self):
         super().__init__()
         self._pos = 0  # parse position within _buf
 
-    def feed(self, data: bytes) -> list:
+    def feed(self, data: bytes) -> tuple:
         self._buf += data
-        events = []
+        frames, kinds = [], []
         buf = self._buf
         while True:
             if self._scanning:
@@ -262,7 +277,7 @@ class ReferenceParser(StreamParser):
             if len(buf) - self._pos < 4:
                 break
             if buf[self._pos:self._pos + 4] != MAGIC:
-                events.append(CorruptionEvent("bad_magic", self._base + self._pos))
+                kinds.append("bad_magic")
                 self.stats.resyncs += 1
                 self._scanning = True
                 continue
@@ -274,7 +289,7 @@ class ReferenceParser(StreamParser):
             payload_len = bits // 8
             if (version != 1 or channel_count < 1 or bits % 8 != 0
                     or payload_len > MAX_PAYLOAD):
-                events.append(CorruptionEvent("bad_header", self._base + self._pos))
+                kinds.append("bad_header")
                 self._discard_one()
                 continue
             total = HEADER_SIZE + payload_len + CRC_SIZE
@@ -283,7 +298,7 @@ class ReferenceParser(StreamParser):
             body_end = self._pos + HEADER_SIZE + payload_len
             (crc,) = struct.unpack_from("<I", buf, body_end)
             if zlib.crc32(bytes(buf[self._pos:body_end])) != crc:
-                events.append(CorruptionEvent("crc_mismatch", self._base + self._pos))
+                kinds.append("crc_mismatch")
                 self._discard_one()
                 continue
             payload = bytes(buf[self._pos + HEADER_SIZE:body_end])
@@ -292,13 +307,12 @@ class ReferenceParser(StreamParser):
                           payload=payload, channel_count=channel_count)
             self._account_sequence(sequence)
             self.stats.frames_ok += 1
-            events.append(frame)
+            frames.append(frame)
             self._pos += total
         if self._pos:
-            self._base += self._pos
             del self._buf[:self._pos]
             self._pos = 0
-        return events
+        return frames, kinds
 
     def _discard_one(self):
         self.stats.bytes_discarded += 1
@@ -338,27 +352,58 @@ class TestReferenceEquivalence:
                                                                            cuts):
         blob = b"".join(pieces)
         parser, reference = StreamParser(), ReferenceParser()
+        kinds = collections.Counter()
         prev = 0
         for pos in sorted({min(c, len(blob)) for c in cuts}) + [len(blob)]:
-            assert parser.feed(blob[prev:pos]) == reference.feed(blob[prev:pos])
-            assert parser.stats == reference.stats
+            frames, found = reference.feed(blob[prev:pos])
+            kinds.update(found)
+            assert parser.feed(blob[prev:pos]) == frames
+            expected = dataclasses.replace(reference.stats, **kinds)
+            assert parser.stats == expected
+            assert parser.stats.resyncs == (parser.stats.bad_header + parser.stats.bad_magic
+                                            + parser.stats.crc_mismatch)
             prev = pos
+        # the end of the stream discards what the reference still holds
+        held = len(reference._buf)
+        parser.finish()
+        assert parser.stats == dataclasses.replace(
+            expected, bytes_discarded=expected.bytes_discarded + held, truncated=int(held > 0))
 
     def test_each_corruption_kind_counts_one_resync_and_its_own_bytes(self):
         # junk with a truncated magic after a frame, then a flipped CRC byte
-        # and a bad version: each kind once, at the offset it was found at
+        # and a bad version: each kind once, in the order found
         good = encode_frame(make_frame(seq=1))
         junk = b"\x00" + MAGIC[:3]
         crc = _corrupted(good, len(good) - 1, good[-1] ^ 1)
         version = _corrupted(good, 4, 2)
         blob = good + junk + crc + version + good
-        events, stats = parse_stream(blob)
-        reference = ReferenceParser()
-        assert events == reference.feed(blob) and stats == reference.stats
+        frames, stats = parse_stream(blob)
+        reference_frames, kinds = ReferenceParser().feed(blob)
+        assert frames == reference_frames
+        assert kinds == ["bad_magic", "crc_mismatch", "bad_header"]
         n = len(good)
-        assert [(e.kind, e.offset) for e in events if isinstance(e, CorruptionEvent)] == [
-            ("bad_magic", n), ("crc_mismatch", n + 4), ("bad_header", 2 * n + 4)]
-        assert (stats.frames_ok, stats.resyncs, stats.bytes_discarded) == (2, 3, 2 * n + 4)
+        assert stats == StreamStats(frames_ok=2, resyncs=3, bytes_discarded=2 * n + 4,
+                                    bad_header=1, bad_magic=1, crc_mismatch=1)
+
+
+class TestFinish:
+    @pytest.mark.parametrize("tail", [
+        encode_frame(make_frame(seq=2, spc=64))[:-5],  # a frame cut off
+        MAGIC[:3],  # a magic that never completes
+        b"\x07",  # a byte too few to hold a magic
+    ], ids=["cut-frame", "magic-prefix", "one-byte"])
+    def test_the_bytes_a_stream_ends_with_are_discarded_once(self, tail):
+        frames = [make_frame(seq=s) for s in range(2)]
+        head = b"".join(encode_frame(f) for f in frames)
+        parser = StreamParser()
+        assert parser.feed(head + tail) == frames
+        assert parser.stats == StreamStats(frames_ok=2)
+        parser.finish()
+        done = StreamStats(frames_ok=2, bytes_discarded=len(tail), truncated=1)
+        assert parser.stats == done
+        parser.finish()  # nothing is held any more
+        assert parser.stats == done
+        assert parse_stream(head + tail) == (frames, done)
 
 
 class TestBoundedMemory:
